@@ -9,8 +9,8 @@ from .autodiff import Adam, DivergenceError, ShapeError, Tensor
 from .model import ModelConfig, ToyTransformer, build_masks, forward_full, forward_scaled
 from .masking import BinaryChannelMask, TrainSpec, select_mask, stage1_train, stage2_train, top_s_r
 from .tasks import TaskSpec, TaskSample, generate, sample_stream, score
-from .cache import (PartitionedKVCache, decode_step, greedy_decode, greedy_decode_dense,
-                    memory_report, prefill_and_partition)
+from .cache import (PartitionedKVCache, decode_step, greedy_decode, memory_report,
+                    prefill_and_partition)
 from .analysis import (channel_norm_ratios, dynamic_norm_mask, freq_profile,
                        high_freq_ratio, pearson, static_norm_mask, staticity_matrix)
 from .experiment import ExperimentConfig
@@ -21,8 +21,8 @@ __all__ = [
     "ModelConfig", "ToyTransformer", "build_masks", "forward_full", "forward_scaled",
     "BinaryChannelMask", "TrainSpec", "select_mask", "stage1_train", "stage2_train", "top_s_r",
     "TaskSpec", "TaskSample", "generate", "sample_stream", "score",
-    "PartitionedKVCache", "decode_step", "greedy_decode", "greedy_decode_dense",
-    "memory_report", "prefill_and_partition",
+    "PartitionedKVCache", "decode_step", "greedy_decode", "memory_report",
+    "prefill_and_partition",
     "channel_norm_ratios", "dynamic_norm_mask", "freq_profile", "high_freq_ratio",
     "pearson", "static_norm_mask", "staticity_matrix",
     "ExperimentConfig",

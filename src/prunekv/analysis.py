@@ -21,7 +21,6 @@ class ChannelNormVector:
     """Per-channel share of the query-key logit norm, flattened (L, n_kv, d)."""
 
     values: np.ndarray
-    provenance: str
     obs_window: int
     zero_denominator: bool = False
 
@@ -64,8 +63,8 @@ def channel_norm_ratios(model, sample, obs_window=DEFAULT_OBS_WINDOW):
                 continue
             # ||q_[ch] k_[ch]^T||_F = ||q_[ch]|| * ||k_[ch]|| for rank-1 outer products
             values[i, j] = np.linalg.norm(qj, axis=0) * np.linalg.norm(kj, axis=0) / den
-    return ChannelNormVector(values=values.reshape(-1), provenance=f"len={t}",
-                             obs_window=obs_window, zero_denominator=zero_den)
+    return ChannelNormVector(values=values.reshape(-1), obs_window=obs_window,
+                             zero_denominator=zero_den)
 
 
 def pearson(a, b):

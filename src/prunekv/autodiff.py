@@ -276,25 +276,6 @@ def tmean(a, axis=None, keepdims=False):
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def texp(a):
-    a = _lift(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out_data)
-
-    return _node(out_data, (a,), bwd)
-
-
-def tlog(a):
-    a = _lift(a)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _node(np.log(a.data), (a,), bwd)
-
-
 def l1_norm(a):
     """Sum of absolute values; subgradient at 0 is 0."""
     a = _lift(a)
@@ -315,6 +296,37 @@ def sum_squares(a):
     return _node((a.data * a.data).sum(), (a,), bwd)
 
 
+# Plain-ndarray kernels. The Tensor ops below take their forward values from
+# them, and the numpy inference pass in `cache` calls them directly.
+
+def softmax_(z, axis=-1):
+    """Softmax along `axis`, normalised in place in `z`, which is returned."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+def rms_norm_fwd(x, w, eps=1e-6):
+    """(x / RMS(x) * w over the last axis, 1 / RMS(x) with that axis kept)."""
+    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    return x * inv * w, inv
+
+
+def silu_fwd(x):
+    """(x * sigmoid(x), sigmoid(x))."""
+    s = 1.0 / (1.0 + np.exp(-x))
+    return x * s, s
+
+
+def rotate_half(x, cos, sin):
+    """Rotate-half RoPE, pairing channel i with i + d/2; `cos`/`sin` broadcast
+    against either half of `x`. With `-sin` it is the inverse and the gradient."""
+    h = x.shape[-1] // 2
+    x1, x2 = x[..., :h], x[..., h:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
 def softmax(a, additive_mask=None, axis=-1):
     """Softmax along `axis`; `additive_mask` is added to the logits first.
 
@@ -322,10 +334,7 @@ def softmax(a, additive_mask=None, axis=-1):
     (selection semantics), never a multiplicative zero.
     """
     a = _lift(a)
-    z = a.data if additive_mask is None else a.data + additive_mask
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = softmax_(a.data.copy() if additive_mask is None else a.data + additive_mask, axis)
 
     def bwd(g):
         _accum(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
@@ -337,8 +346,7 @@ def rms_norm(x, weight, eps=1e-6):
     """RMS-normalize over the last axis, then scale elementwise by `weight`."""
     x, weight = _lift(x), _lift(weight)
     n = x.shape[-1]
-    inv = 1.0 / np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + eps)
-    out_data = x.data * inv * weight.data
+    out_data, inv = rms_norm_fwd(x.data, weight.data, eps)
 
     def bwd(g):
         gw_x = g * weight.data
@@ -350,48 +358,25 @@ def rms_norm(x, weight, eps=1e-6):
 
 def silu(x):
     x = _lift(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    out_data, s = silu_fwd(x.data)
 
     def bwd(g):
         _accum(x, g * s * (1.0 + x.data * (1.0 - s)))
 
-    return _node(x.data * s, (x,), bwd)
-
-
-_GELU_C = np.sqrt(2.0 / np.pi)
-
-
-def gelu(x):
-    """Tanh-approximation GeLU."""
-    x = _lift(x)
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(u)
-
-    def bwd(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        _accum(x, g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du))
-
-    return _node(0.5 * x.data * (1.0 + t), (x,), bwd)
+    return _node(out_data, (x,), bwd)
 
 
 def rope_rotate(x, cos, sin):
-    """Rotate-half RoPE: channel i pairs with channel i + d/2.
-
-    `x` has shape (..., T, d) with even d; `cos`/`sin` have shape (T, d/2).
-    """
+    """Rotate-half RoPE on a Tensor of shape (..., T, d); `cos`/`sin` are (T, d/2)."""
     x = _lift(x)
     d = x.shape[-1]
     if d % 2 != 0:
         raise ShapeError(f"rope needs an even head dimension, got {d}")
-    h = d // 2
-    x1, x2 = x.data[..., :h], x.data[..., h:]
-    out_data = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
     def bwd(g):
-        g1, g2 = g[..., :h], g[..., h:]
-        _accum(x, np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1))
+        _accum(x, rotate_half(g, cos, -sin))
 
-    return _node(out_data, (x,), bwd)
+    return _node(rotate_half(x.data, cos, sin), (x,), bwd)
 
 
 def embedding(weight, ids):

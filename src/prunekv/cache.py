@@ -1,206 +1,224 @@
-"""Deployment-path decoding with a partitioned, channel-pruned key cache.
+"""Deployment-path inference through a partitioned, channel-pruned key cache.
 
-After prefill, keys outside the sink and local window are stored pruned to
-each head's kept channels; sink + window keys stay full width. Keys leaving
-the window are migrated to the pruned store in batches, but attention always
-treats a key as full-width while it is logically inside the sink or window
-and pruned-width once outside, so migration timing is purely a storage event.
-Heads with zero kept channels are streaming heads: their middle K and V are
-dropped entirely and they attend only to sink + window.
+`np_forward` (prefill) and `decode_step` run one numpy layer loop and differ
+only in the attention step. Keys below `sink` and in the last `window`
+positions are used full width, all others through their head's kept
+channels; keys leaving the window are migrated to pruned stores in batches,
+a pure storage event. Heads with zero kept channels are streaming heads:
+their middle K and V are dropped and they attend only to sink + window.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .model import MASK_NEG, rope_angles
 
 DEFAULT_MIGRATE_EVERY = 32
 DEFAULT_BYTES_PER_ELEMENT = 2  # fp16 deployment accounting
 
 
-def _rms(x, w, eps=1e-6):
-    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps) * w
+def _check_tokens(tokens, config):
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 1 or len(tokens) == 0 or not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError("tokens must be a non-empty 1-d sequence of integer ids")
+    bad = tokens[(tokens < 0) | (tokens >= config.vocab_size)]
+    if len(bad):
+        raise ValueError(f"token ids must be in [0, {config.vocab_size}), got {bad.tolist()}")
+    return tokens
 
 
-def _silu(x):
-    return x / (1.0 + np.exp(-x))
+def _layer_loop(w, config, tokens, start, attend):
+    """Logits (T, vocab) of `tokens` at positions start, start + 1, ...
 
-
-def _softmax(z, axis=-1):
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    `attend(i, q, k, v)` is layer i's attention: it gets post-RoPE q
+    (T, n_q, d) and k, v (T, n_kv, d) and returns (T, n_q * d).
+    """
+    c = config
+    t, d = len(tokens), c.head_dim
+    cos, sin = rope_angles(d, np.arange(start, start + t), c.rope_base)
+    cos, sin = cos[:, None], sin[:, None]  # broadcast over heads
+    x = w["tok_emb"][tokens]
+    for i in range(c.n_layers):
+        h = ad.rms_norm_fwd(x, w[f"l{i}.attn_norm"])[0]
+        q = ad.rotate_half((h @ w[f"l{i}.wq"]).reshape(t, c.n_q_heads, d), cos, sin)
+        k = ad.rotate_half((h @ w[f"l{i}.wk"]).reshape(t, c.n_kv_heads, d), cos, sin)
+        v = (h @ w[f"l{i}.wv"]).reshape(t, c.n_kv_heads, d)
+        x = x + attend(i, q, k, v) @ w[f"l{i}.wo"]
+        h = ad.rms_norm_fwd(x, w[f"l{i}.ffn_norm"])[0]
+        x = x + (ad.silu_fwd(h @ w[f"l{i}.w_gate"])[0] * (h @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
+    return ad.rms_norm_fwd(x, w["final_norm"])[0] @ w["lm_head"]
 
 
 def np_forward(weights, config, tokens, want_q=False):
-    """Plain-numpy full-attention forward over a prompt.
+    """Plain-numpy full causal attention forward over a prompt.
 
     Returns (per-layer list, logits (T, vocab)). Each layer entry is
     (k, v) of shape (T, n_kv, d) post-RoPE, plus q (T, n_q, d) if requested.
     """
     c = config
     tokens = np.asarray(tokens)
-    t = tokens.shape[0]
+    t = len(tokens)
     if t > c.max_pos:
         raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
-    d, g = c.head_dim, c.group_size
-    cos, sin = rope_angles(d, np.arange(t), c.rope_base)
-    half = d // 2
     additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, MASK_NEG)
-    scale = 1.0 / np.sqrt(d)
-
-    def rot(x):  # (T, H, d)
-        x1, x2 = x[..., :half], x[..., half:]
-        c_, s_ = cos[:, None, :], sin[:, None, :]
-        return np.concatenate([x1 * c_ - x2 * s_, x1 * s_ + x2 * c_], axis=-1)
-
-    x = weights["tok_emb"][tokens]
     layers = []
-    for i in range(c.n_layers):
-        h = _rms(x, weights[f"l{i}.attn_norm"])
-        q = rot((h @ weights[f"l{i}.wq"]).reshape(t, c.n_q_heads, d))
-        k = rot((h @ weights[f"l{i}.wk"]).reshape(t, c.n_kv_heads, d))
-        v = (h @ weights[f"l{i}.wv"]).reshape(t, c.n_kv_heads, d)
+
+    def attend(i, q, k, v):
         layers.append((q, k, v) if want_q else (k, v))
-        qh = q.transpose(1, 0, 2).reshape(c.n_kv_heads, g, t, d)
-        kh = k.transpose(1, 0, 2)[:, None]
-        vh = v.transpose(1, 0, 2)[:, None]
-        attn = _softmax(qh @ kh.swapaxes(-1, -2) * scale + additive)
-        out = (attn @ vh).transpose(2, 0, 1, 3).reshape(t, c.n_q_heads * d)
-        x = x + out @ weights[f"l{i}.wo"]
-        h2 = _rms(x, weights[f"l{i}.ffn_norm"])
-        x = x + (_silu(h2 @ weights[f"l{i}.w_gate"]) * (h2 @ weights[f"l{i}.w_up"])) @ weights[f"l{i}.w_down"]
-    logits = _rms(x, weights["final_norm"]) @ weights["lm_head"]
+        qh = q.transpose(1, 0, 2).reshape(c.n_kv_heads, c.group_size, t, c.head_dim)
+        s = qh @ k.transpose(1, 2, 0)[:, None]  # the one (n_kv, g, T, T) score buffer
+        s *= 1.0 / np.sqrt(c.head_dim)
+        s += additive
+        ad.softmax_(s)
+        return (s @ v.transpose(1, 0, 2)[:, None]).transpose(2, 0, 1, 3).reshape(t, -1)
+
+    logits = _layer_loop(weights, c, tokens, 0, attend)
     return layers, logits
 
 
-@dataclass
-class LayerCache:
-    k_sink: list = field(default_factory=list)  # entries (n_kv, d)
-    v_sink: list = field(default_factory=list)
-    k_win: list = field(default_factory=list)
-    v_win: list = field(default_factory=list)
-    k_mid: list = field(default_factory=list)  # per head: (t_mid, kept) or None
-    v_mid: list = field(default_factory=list)  # per head: (t_mid, d) or None
+def _reserve(buf, rows):
+    """`buf` if it has `rows` rows, else a copy with room for twice as many."""
+    if len(buf) >= rows:
+        return buf
+    grown = np.empty((2 * rows,) + buf.shape[1:])
+    grown[:len(buf)] = buf
+    return grown
 
 
 class PartitionedKVCache:
-    """Per-layer sink+local full K/V plus channel-pruned middle K (and V)."""
+    """Per-layer K/V stores partitioned by position.
+
+    `k_full[i]`/`v_full[i]` (rows, n_kv, d) hold, in position order, the
+    positions below `sink` and every later position not yet migrated: the
+    `pending` ones, then the window. `k_mid[i][j]` (rows, kept) and
+    `v_mid[i][j]` (rows, d) hold head j's `mid_tokens` migrated positions
+    with K pruned to its kept channels; streaming heads keep them empty.
+    Stores grow by doubling, so only their leading rows are live; migration
+    rebuilds the full store without the rows it moved.
+    """
 
     def __init__(self, config, beta, sink, window, migrate_every=DEFAULT_MIGRATE_EVERY,
                  forced_streaming=()):
         bits = np.asarray(beta.bits)
         if bits.shape != config.factor_shape:
             raise ValueError(f"mask shape {bits.shape} != model {config.factor_shape}")
-        self.config = config
-        self.beta = beta
-        self.sink = sink
-        self.window = window
-        self.migrate_every = migrate_every
+        if sink < 0 or window < 0 or migrate_every < 1:
+            raise ValueError(f"need sink >= 0, window >= 0 and migrate_every >= 1, "
+                             f"got {sink}, {window} and {migrate_every}")
         forced = set(forced_streaming)
-        self.kept_channels = []
-        self.streaming = []
-        for i in range(config.n_layers):
-            kept_row, stream_row = [], []
-            for j in range(config.n_kv_heads):
-                kept = np.where(bits[i, j])[0]
-                is_stream = len(kept) == 0 or (i, j) in forced
-                kept_row.append(np.empty(0, dtype=np.int64) if is_stream else kept)
-                stream_row.append(is_stream)
-            self.kept_channels.append(kept_row)
-            self.streaming.append(stream_row)
-        self.layers = [LayerCache(
-            k_mid=[None if self.streaming[i][j] else np.empty((0, len(self.kept_channels[i][j])))
-                   for j in range(config.n_kv_heads)],
-            v_mid=[None if self.streaming[i][j] else np.empty((0, config.head_dim))
-                   for j in range(config.n_kv_heads)],
-        ) for i in range(config.n_layers)]
+        self.streaming = [[not bits[i, j].any() or (i, j) in forced
+                           for j in range(config.n_kv_heads)] for i in range(config.n_layers)]
+        if sink + window == 0 and any(map(any, self.streaming)):
+            raise ValueError("streaming heads need sink + window >= 1 key to attend to")
+        self.kept_channels = [[np.empty(0, dtype=np.int64) if stream else np.flatnonzero(head)
+                               for head, stream in zip(bits[i], self.streaming[i])]
+                              for i in range(config.n_layers)]
+        self.config, self.sink, self.window, self.migrate_every = config, sink, window, migrate_every
         self.seq_len = 0
+        self.mid_tokens = 0  # positions migrated to the pruned stores
+        full = (0, config.n_kv_heads, config.head_dim)
+        self.k_full = [np.empty(full) for _ in range(config.n_layers)]
+        self.v_full = [np.empty(full) for _ in range(config.n_layers)]
+        self.k_mid = [[np.empty((0, len(kept))) for kept in row] for row in self.kept_channels]
+        self.v_mid = [[np.empty((0, config.head_dim)) for _ in row] for row in self.kept_channels]
 
     @property
     def pending(self):
-        """Tokens sitting in the window store beyond the logical window."""
-        return max(0, len(self.layers[0].k_win) - self.window)
-
-    def total_tokens(self):
-        lc = self.layers[0]
-        return len(lc.k_sink) + len(lc.k_win) + self.mid_tokens
+        """Positions that have left the window but are still stored full width."""
+        return max(0, self.seq_len - self.sink - self.window) - self.mid_tokens
 
     def stored_k_elements(self):
-        n = 0
-        for lc in self.layers:
-            n += (len(lc.k_sink) + len(lc.k_win)) * self.config.n_kv_heads * self.config.head_dim
-            for arr in lc.k_mid:
-                if arr is not None:
-                    n += arr.size
-        return n
+        c = self.config
+        full = c.n_layers * c.n_kv_heads * c.head_dim * (self.seq_len - self.mid_tokens)
+        return full + self.mid_tokens * sum(len(kept) for row in self.kept_channels for kept in row)
 
     def stored_v_elements(self):
-        n = 0
-        for lc in self.layers:
-            n += (len(lc.v_sink) + len(lc.v_win)) * self.config.n_kv_heads * self.config.head_dim
-            for arr in lc.v_mid:
-                if arr is not None:
-                    n += arr.size
-        return n
+        c = self.config
+        kept_heads = sum(not stream for row in self.streaming for stream in row)
+        return c.head_dim * (c.n_layers * c.n_kv_heads * (self.seq_len - self.mid_tokens)
+                             + kept_heads * self.mid_tokens)
 
-    mid_tokens = 0  # tokens logically in the middle region
+    def _attend(self, i, q, k, v):
+        """Layer i's attention for the newest token, at position seq_len - 1.
+
+        Stores its k, v, then scores every key by position: full width in
+        the sink and window, through the head's kept channels in the middle
+        (migrated or pending), and not at all in the middle for streaming
+        heads.
+        """
+        c = self.config
+        g, d = c.group_size, c.head_dim
+        mid, n = self.mid_tokens, self.seq_len - self.mid_tokens
+        lo, hi = self.sink, self.sink + self.pending  # full-store rows [lo, hi) are pending
+        kf = self.k_full[i] = _reserve(self.k_full[i], n)
+        vf = self.v_full[i] = _reserve(self.v_full[i], n)
+        kf[n - 1], vf[n - 1] = k[0], v[0]
+        qh = q[0].reshape(c.n_kv_heads, g, d)
+        s = np.empty((c.n_kv_heads, g, mid + n))  # columns: migrated middle, then full store
+        np.matmul(qh, kf[:n].transpose(1, 2, 0), out=s[..., mid:])
+        for j, kept in enumerate(self.kept_channels[i]):
+            if self.streaming[i][j]:
+                s[j, :, :mid] = s[j, :, mid + lo:mid + hi] = -np.inf
+            else:
+                qk = qh[j][:, kept]
+                np.matmul(qk, self.k_mid[i][j][:mid].T, out=s[j, :, :mid])
+                np.matmul(qk, kf[lo:hi, j][:, kept].T, out=s[j, :, mid + lo:mid + hi])
+        s *= 1.0 / np.sqrt(d)
+        ad.softmax_(s)
+        out = s[..., mid:] @ vf[:n].transpose(1, 0, 2)  # (n_kv, g, d)
+        for j, stream in enumerate(self.streaming[i]):
+            if not stream:
+                out[j] += s[j, :, :mid] @ self.v_mid[i][j][:mid]
+        return out.reshape(1, -1)
 
 
 def prefill_and_partition(model, beta, tokens, sink, window,
                           migrate_every=DEFAULT_MIGRATE_EVERY, forced_streaming=()):
-    """Full-attention prefill, then prune and partition the key cache.
+    """Full causal attention prefill, then a cache partitioned by position.
 
-    Returns (cache, logits of the last prompt position). A prompt shorter
-    than sink + window simply leaves the pruned store empty.
+    The middle positions [sink, len(tokens) - window) all migrate at once to
+    the pruned stores; the others stay full width, so a prompt shorter than
+    sink + window leaves the pruned stores empty. Raises ValueError for a
+    mask of the wrong shape, a negative sink or window, `migrate_every` < 1,
+    or token ids outside [0, vocab_size). Returns (cache, logits of the last
+    prompt position).
     """
     cache = PartitionedKVCache(model.config, beta, sink, window, migrate_every, forced_streaming)
-    weights = model.weights_numpy()
-    layers, logits = np_forward(weights, model.config, tokens)
-    t = len(tokens)
-    sink_n = min(sink, t)
-    win_start = max(t - window, sink_n)
-    for i, (k, v) in enumerate(layers):
-        lc = cache.layers[i]
-        lc.k_sink = list(k[:sink_n])
-        lc.v_sink = list(v[:sink_n])
-        lc.k_win = list(k[win_start:])
-        lc.v_win = list(v[win_start:])
-        for j in range(model.config.n_kv_heads):
-            if cache.streaming[i][j]:
-                continue
-            kept = cache.kept_channels[i][j]
-            lc.k_mid[j] = k[sink_n:win_start, j][:, kept].copy()
-            lc.v_mid[j] = v[sink_n:win_start, j].copy()
-    cache.mid_tokens = win_start - sink_n
-    cache.seq_len = t
+    tokens = _check_tokens(tokens, model.config)
+    layers, logits = np_forward(model.weights_numpy(), model.config, tokens)
+    cache.k_full = [k for k, _ in layers]  # every position full width, then migrate
+    cache.v_full = [v for _, v in layers]
+    cache.seq_len = len(tokens)
+    _migrate(cache, cache.pending)
     return cache, logits[-1]
 
 
-def migrate_window(cache):
-    """Move batches of window-exited keys into the pruned store.
-
-    No-op while fewer than `migrate_every` tokens have left the window.
-    """
-    c = cache.config
-    while cache.pending >= cache.migrate_every:
-        m = cache.migrate_every
-        for i in range(c.n_layers):
-            lc = cache.layers[i]
-            old_k = np.stack(lc.k_win[:m])  # (m, n_kv, d)
-            old_v = np.stack(lc.v_win[:m])
-            del lc.k_win[:m], lc.v_win[:m]
-            for j in range(c.n_kv_heads):
-                if cache.streaming[i][j]:
-                    continue
-                kept = cache.kept_channels[i][j]
-                lc.k_mid[j] = np.concatenate([lc.k_mid[j], old_k[:, j][:, kept]])
-                lc.v_mid[j] = np.concatenate([lc.v_mid[j], old_v[:, j]])
-        cache.mid_tokens += m
+def _migrate(cache, n):
+    """Move the first `n` pending positions to the pruned stores."""
+    if n == 0:
+        return cache
+    lo, mid, rows = cache.sink, cache.mid_tokens, cache.seq_len - cache.mid_tokens
+    for i in range(cache.config.n_layers):
+        kf, vf = cache.k_full[i], cache.v_full[i]
+        for j, kept in enumerate(cache.kept_channels[i]):
+            if not cache.streaming[i][j]:
+                km = cache.k_mid[i][j] = _reserve(cache.k_mid[i][j], mid + n)
+                vm = cache.v_mid[i][j] = _reserve(cache.v_mid[i][j], mid + n)
+                km[mid:mid + n] = kf[lo:lo + n, j][:, kept]
+                vm[mid:mid + n] = vf[lo:lo + n, j]
+        cache.k_full[i] = np.concatenate([kf[:lo], kf[lo + n:rows]])  # compact: no dead rows
+        cache.v_full[i] = np.concatenate([vf[:lo], vf[lo + n:rows]])
+    cache.mid_tokens += n
     return cache
+
+
+def migrate_window(cache):
+    """Move pending positions, in whole batches of `migrate_every`, to the
+    pruned stores; a no-op while fewer than that are pending."""
+    return _migrate(cache, cache.pending // cache.migrate_every * cache.migrate_every)
 
 
 def decode_step(model, cache, token):
@@ -208,56 +226,13 @@ def decode_step(model, cache, token):
     c = model.config
     if cache.config is not c and cache.config != c:
         raise ValueError("cache was built for a different model config")
-    w = model.weights_numpy()
-    d, g = c.head_dim, c.group_size
-    pos = cache.seq_len
-    if pos >= c.max_pos:
-        raise ValueError(f"position {pos} exceeds max_pos {c.max_pos}")
-    cos, sin = rope_angles(d, [pos], c.rope_base)
-    half = d // 2
-    scale = 1.0 / np.sqrt(d)
-
-    def rot(x):  # (H, d)
-        x1, x2 = x[:, :half], x[:, half:]
-        return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-
-    x = w["tok_emb"][token]
-    for i in range(c.n_layers):
-        h = _rms(x, w[f"l{i}.attn_norm"])
-        q = rot((h @ w[f"l{i}.wq"]).reshape(c.n_q_heads, d))
-        k = rot((h @ w[f"l{i}.wk"]).reshape(c.n_kv_heads, d))
-        v = (h @ w[f"l{i}.wv"]).reshape(c.n_kv_heads, d)
-        lc = cache.layers[i]
-        lc.k_win.append(k)
-        lc.v_win.append(v)
-        win_k = np.stack(lc.k_win)  # (m, n_kv, d)
-        win_v = np.stack(lc.v_win)
-        stale = max(0, len(lc.k_win) - cache.window)
-        sink_k = np.stack(lc.k_sink) if lc.k_sink else np.empty((0, c.n_kv_heads, d))
-        sink_v = np.stack(lc.v_sink) if lc.v_sink else np.empty((0, c.n_kv_heads, d))
-        heads_out = np.empty((c.n_q_heads, d))
-        for j in range(c.n_kv_heads):
-            qg = q[j * g:(j + 1) * g]  # (g, d)
-            full_k = np.concatenate([sink_k[:, j], win_k[stale:, j]])
-            full_v = np.concatenate([sink_v[:, j], win_v[stale:, j]])
-            logits_full = qg @ full_k.T * scale
-            if cache.streaming[i][j]:
-                p = _softmax(logits_full)
-                heads_out[j * g:(j + 1) * g] = p @ full_v
-            else:
-                kept = cache.kept_channels[i][j]
-                prun_k = np.concatenate([lc.k_mid[j], win_k[:stale, j][:, kept]])
-                prun_v = np.concatenate([lc.v_mid[j], win_v[:stale, j]])
-                logits_prun = qg[:, kept] @ prun_k.T * scale
-                p = _softmax(np.concatenate([logits_prun, logits_full], axis=1))
-                n_p = prun_k.shape[0]
-                heads_out[j * g:(j + 1) * g] = p[:, :n_p] @ prun_v + p[:, n_p:] @ full_v
-        x = x + heads_out.reshape(-1) @ w[f"l{i}.wo"]
-        h2 = _rms(x, w[f"l{i}.ffn_norm"])
-        x = x + (_silu(h2 @ w[f"l{i}.w_gate"]) * (h2 @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
-    cache.seq_len = pos + 1
+    tokens = _check_tokens([token], c)
+    if cache.seq_len >= c.max_pos:
+        raise ValueError(f"position {cache.seq_len} exceeds max_pos {c.max_pos}")
+    cache.seq_len += 1
+    logits = _layer_loop(model.weights_numpy(), c, tokens, cache.seq_len - 1, cache._attend)
     migrate_window(cache)
-    return _rms(x, w["final_norm"]) @ w["lm_head"]
+    return logits[0]
 
 
 def greedy_decode(model, tokens, n_new, beta, sink, window,
@@ -269,6 +244,8 @@ def greedy_decode(model, tokens, n_new, beta, sink, window,
     prefill (context cached first, the query arrives later), so even the
     first generated token attends the pruned cache.
     """
+    if n_new < 0:
+        raise ValueError(f"n_new must be >= 0, got {n_new}")
     cache, last_logits = prefill_and_partition(model, beta, tokens, sink, window,
                                                migrate_every, forced_streaming)
     out, logit_trace = [], []
@@ -285,35 +262,6 @@ def greedy_decode(model, tokens, n_new, beta, sink, window,
     return np.array(out, dtype=np.int64), logit_trace, cache
 
 
-def greedy_decode_dense(model, tokens, n_new):
-    """Baseline greedy decode recomputing full attention from scratch each step."""
-    weights = model.weights_numpy()
-    seq = np.asarray(tokens)
-    out = []
-    for _ in range(n_new):
-        _, logits = np_forward(weights, model.config, seq)
-        nxt = int(np.argmax(logits[-1]))
-        out.append(nxt)
-        seq = np.concatenate([seq, [nxt]])
-    return np.array(out, dtype=np.int64)
-
-
-@dataclass
-class HeadGroup:
-    retained_count: int
-    members: list
-
-
-def group_heads(beta):
-    """Partition (layer, head) by retained channel count, largest first."""
-    counts = beta.kept_counts()
-    groups = {}
-    for (i, j), n in np.ndenumerate(counts):
-        groups.setdefault(int(n), []).append((int(i), int(j)))
-    return [HeadGroup(retained_count=n, members=groups[n])
-            for n in sorted(groups, reverse=True)]
-
-
 @dataclass
 class MemoryReport:
     bytes_k_baseline: int
@@ -324,9 +272,7 @@ class MemoryReport:
     v_reduction_fraction: float
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in (
-            "bytes_k_baseline", "bytes_k_pruned", "bytes_v_baseline", "bytes_v_pruned",
-            "k_reduction_fraction", "v_reduction_fraction")}
+        return asdict(self)
 
 
 def memory_report(beta, config, seq_len, sink, window,
@@ -350,19 +296,3 @@ def memory_report(beta, config, seq_len, sink, window,
         k_reduction_fraction=1.0 - k_pruned / baseline,
         v_reduction_fraction=1.0 - v_pruned / baseline,
     )
-
-
-def decode_timing(model, beta, tokens, n_new, sink, window,
-                  migrate_every=DEFAULT_MIGRATE_EVERY):
-    """Wall-time per decoded token for the pruned path vs the dense baseline.
-
-    CPU proxy for relative cache-traffic trends; absolute numbers are not
-    meaningful.
-    """
-    start = time.perf_counter()
-    greedy_decode(model, tokens, n_new, beta, sink, window, migrate_every)
-    pruned = (time.perf_counter() - start) / n_new
-    start = time.perf_counter()
-    greedy_decode_dense(model, tokens, n_new)
-    dense = (time.perf_counter() - start) / n_new
-    return {"pruned_s_per_token": pruned, "dense_s_per_token": dense}

@@ -1,13 +1,12 @@
 """Experiment configuration and end-to-end pipeline commands.
 
 Everything here is deterministic given the config: reports embed a hash of
-the exact config that produced them and contain no wall-clock data (timing
-goes to a sidecar file on request).
+the exact config that produced them and contain no wall-clock data.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,7 +79,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**dict(d))
+        d = dict(d)
+        valid = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(d) - set(valid))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; valid keys are {valid}")
+        return cls(**d)
 
     def hash(self):
         return storage.config_hash(self.to_dict())

@@ -16,9 +16,6 @@ from . import autodiff as ad
 from .autodiff import DivergenceError, Tensor
 from .model import build_masks, forward_full, forward_scaled
 
-FULL_SCALE_STEPS_STAGE1 = 2000  # reference schedule at full scale; toy default is 1/10
-FULL_SCALE_STEPS_STAGE2 = 200
-
 
 @dataclass(frozen=True)
 class TrainSpec:

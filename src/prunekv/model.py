@@ -60,11 +60,7 @@ def rope_angles(head_dim, positions, base=10000.0):
 def apply_rope(x, positions, base=10000.0):
     """Rotate-half RoPE on an ndarray of shape (..., T, head_dim)."""
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[-1]
-    cos, sin = rope_angles(d, positions, base)
-    h = d // 2
-    x1, x2 = x[..., :h], x[..., h:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    return ad.rotate_half(x, *rope_angles(x.shape[-1], positions, base))
 
 
 @dataclass
@@ -237,18 +233,6 @@ def forward_full(model, tokens, n_ans, want_record=False):
 def forward_scaled(model, tokens, n_ans, factors, masks, want_record=False):
     """Region-scaled attention: middle-region keys are scaled per channel."""
     return _forward(model, tokens, n_ans, factors=factors, masks=masks, want_record=want_record)
-
-
-def answer_token_accuracy(model, samples):
-    """Teacher-forced argmax accuracy over answer tokens, averaged per sample."""
-    total = 0.0
-    for s in samples:
-        tokens = np.concatenate([s.ctx_tokens, s.ans_tokens])
-        rec = forward_full(model, tokens, len(s.ans_tokens))
-        n_ctx = len(s.ctx_tokens)
-        pred = rec.logits.data[n_ctx - 1:len(tokens) - 1].argmax(axis=-1)
-        total += float((pred == s.ans_tokens).mean())
-    return total / len(samples)
 
 
 def pretrain(model, task_stream, steps, lr, seed=0, log=None):

@@ -1,10 +1,11 @@
 """Partitioned-cache decoding checks against stateless references."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from prunekv import cache, masking
-from prunekv.cache import (greedy_decode, greedy_decode_dense, group_heads, memory_report,
-                           migrate_window, np_forward, prefill_and_partition)
+from prunekv.cache import (greedy_decode, memory_report, migrate_window, np_forward,
+                           prefill_and_partition)
 from prunekv.masking import BinaryChannelMask
 from prunekv.model import ModelConfig, ToyTransformer, forward_full
 
@@ -24,6 +25,26 @@ def random_beta(rng, r=2):
     return masking.select_mask(scores, keep, r)
 
 
+def assert_stores_hold(kv, toy, seq):
+    """Layer 0 of the cache holds the K/V of `seq` where the position partition
+    puts them: full width below the sink and from the first unmigrated
+    position on, pruned to the kept channels for the migrated middle. Layer
+    0's K/V depend only on token and position, so one full forward gives them."""
+    k, v = np_forward(toy.weights_numpy(), CFG, seq)[0][0]
+    t, sink, mid = len(seq), kv.sink, kv.mid_tokens
+    assert kv.seq_len == t
+    full = np.r_[0:min(sink, t), sink + mid:t]
+    np.testing.assert_allclose(kv.k_full[0][:len(full)], k[full], atol=1e-12)
+    np.testing.assert_allclose(kv.v_full[0][:len(full)], v[full], atol=1e-12)
+    for j, kept in enumerate(kv.kept_channels[0]):
+        if kv.streaming[0][j]:
+            assert len(kv.k_mid[0][j]) == len(kv.v_mid[0][j]) == 0
+        else:
+            np.testing.assert_allclose(kv.k_mid[0][j][:mid], k[sink:sink + mid, j][:, kept],
+                                       atol=1e-12)
+            np.testing.assert_allclose(kv.v_mid[0][j][:mid], v[sink:sink + mid, j], atol=1e-12)
+
+
 def test_np_forward_matches_tensor_forward():
     toy = make_model(1)
     tokens = np.random.default_rng(1).integers(0, CFG.vocab_size, size=20)
@@ -39,8 +60,10 @@ def test_identity_mask_decode_matches_dense():
     ones = BinaryChannelMask.all_ones(CFG.factor_shape)
     got, trace, _ = greedy_decode(toy, prompt, 24, ones, sink=4, window=8,
                                   collect_logits=True)
-    want = greedy_decode_dense(toy, prompt, 24)
-    np.testing.assert_array_equal(got, want)
+    seq = prompt
+    for _ in range(24):  # dense greedy decode: a full forward pass per token
+        seq = np.append(seq, np.argmax(np_forward(toy.weights_numpy(), CFG, seq)[1][-1]))
+    np.testing.assert_array_equal(got, seq[len(prompt):])
     # all-ones pruning changes no arithmetic: logits match the dense path
     seq = np.concatenate([prompt, got[:-1]])
     for step, logits in enumerate(trace):
@@ -97,6 +120,41 @@ def test_forced_streaming_equivalent_to_zeroed_head():
         np.testing.assert_allclose(x, y, atol=1e-12)
 
 
+@st.composite
+def decode_layouts(draw):
+    n_new = draw(st.integers(0, 12))
+    heads = st.tuples(st.integers(0, CFG.n_layers - 1), st.integers(0, CFG.n_kv_heads - 1))
+    return dict(prompt_len=draw(st.integers(1, 16)), sink=draw(st.integers(0, 6)),
+                window=draw(st.integers(0, 10)), n_new=n_new,
+                migrate_every=draw(st.integers(1, n_new + 1)), seed=draw(st.integers(0, 2 ** 16)),
+                forced=sorted(draw(st.sets(heads, max_size=2))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(dict(prompt_len=2, sink=4, window=8, n_new=12, migrate_every=1, seed=0, forced=[]))
+@given(decode_layouts())
+def test_engine_matches_reference_on_any_layout(layout):
+    """Sink and window from 0, prompts shorter than the sink, any migration
+    batch up to n_new + 1 and forced streaming heads decode as the reference."""
+    rng = np.random.default_rng(layout["seed"])
+    toy = make_model(layout["seed"] % 3)
+    prompt = rng.integers(0, CFG.vocab_size, size=layout["prompt_len"])
+    beta = random_beta(rng)
+    args = (toy, prompt, layout["n_new"], beta, layout["sink"], layout["window"],
+            layout["migrate_every"], layout["forced"])
+    if layout["sink"] + layout["window"] == 0 and (layout["forced"] or beta.streaming_heads()):
+        with pytest.raises(ValueError, match="streaming heads"):
+            greedy_decode(*args)
+        return
+    got, trace, _ = greedy_decode(*args, collect_logits=True)
+    want, want_trace = helpers.reference_greedy_decode(
+        toy.weights_numpy(), CFG, prompt, layout["n_new"], beta.bits, layout["sink"],
+        layout["window"], streaming=layout["forced"])
+    np.testing.assert_array_equal(got, want)
+    for a, b in zip(trace, want_trace):
+        np.testing.assert_allclose(a, b, atol=1e-8)
+
+
 def test_migration_timing_does_not_change_output():
     rng = np.random.default_rng(6)
     toy = make_model(6)
@@ -117,15 +175,12 @@ def test_prefill_partition_counts():
     beta = random_beta(np.random.default_rng(7))
     kv, logits = prefill_and_partition(toy, beta, prompt, sink=4, window=8)
     assert logits.shape == (CFG.vocab_size,)
-    lc = kv.layers[0]
-    assert len(lc.k_sink) == 4 and len(lc.k_win) == 8
-    assert kv.mid_tokens == 40 - 4 - 8
-    assert kv.total_tokens() == 40
+    assert kv.mid_tokens == 40 - 4 - 8 and kv.pending == 0
     for i in range(CFG.n_layers):
-        for j in range(CFG.n_kv_heads):
-            if not kv.streaming[i][j]:
-                assert kv.layers[i].k_mid[j].shape == (28, len(kv.kept_channels[i][j]))
-                assert kv.layers[i].v_mid[j].shape == (28, CFG.head_dim)
+        for j, kept in enumerate(kv.kept_channels[i]):
+            assert kv.k_mid[i][j].shape[1] == len(kept) == beta.kept_counts()[i, j]
+            assert kv.v_mid[i][j].shape[1] == CFG.head_dim
+    assert_stores_hold(kv, toy, prompt)  # the first 28 rows of each middle store
 
 
 def test_short_prompt_leaves_pruned_store_empty():
@@ -133,8 +188,8 @@ def test_short_prompt_leaves_pruned_store_empty():
     prompt = np.random.default_rng(8).integers(0, CFG.vocab_size, size=10)
     beta = random_beta(np.random.default_rng(8))
     kv, _ = prefill_and_partition(toy, beta, prompt, sink=4, window=8)
-    assert kv.mid_tokens == 0
-    assert kv.total_tokens() == 10
+    assert kv.mid_tokens == 0 and kv.pending == 0
+    assert_stores_hold(kv, toy, prompt)
 
 
 def test_migration_threshold_and_conservation():
@@ -144,16 +199,18 @@ def test_migration_threshold_and_conservation():
     beta = random_beta(rng)
     kv, logits = prefill_and_partition(toy, beta, prompt, 4, 8, migrate_every=16)
     mid0 = kv.mid_tokens
-    tok = int(np.argmax(logits))
+    seq = prompt
     for step in range(15):
-        logits = cache.decode_step(toy, kv, tok)
-        tok = int(np.argmax(logits))
+        seq = np.append(seq, np.argmax(logits))
+        logits = cache.decode_step(toy, kv, seq[-1])
         assert kv.mid_tokens == mid0  # below the migration batch size
-        assert kv.total_tokens() == 41 + step
-    cache.decode_step(toy, kv, tok)
+        assert kv.pending == step + 1
+    assert_stores_hold(kv, toy, seq)
+    seq = np.append(seq, np.argmax(logits))
+    cache.decode_step(toy, kv, seq[-1])
     assert kv.mid_tokens == mid0 + 16
-    assert kv.pending < 16
-    assert kv.total_tokens() == 56  # 40 prompt + 16 decoded
+    assert kv.pending == 0
+    assert_stores_hold(kv, toy, seq)  # 40 prompt + 16 decoded, none lost or duplicated
 
 
 def test_migrate_window_noop_below_threshold():
@@ -173,17 +230,21 @@ def test_mask_shape_mismatch_rejected():
         prefill_and_partition(toy, bad, np.zeros(20, dtype=int), 4, 8)
 
 
-def test_group_heads_counts():
-    bits = np.zeros((2, 2, 32), dtype=np.uint8)
-    bits[0, 0] = 1          # 32
-    bits[0, 1] = 1          # 32
-    bits[1, 0, :16] = 1     # 16
-    beta = BinaryChannelMask(bits=bits, r=16, keep_ratio=0.5)
-    groups = group_heads(beta)
-    assert [g.retained_count for g in groups] == [32, 16, 0]
-    assert sorted(groups[0].members) == [(0, 0), (0, 1)]
-    assert groups[1].members == [(1, 0)]
-    assert groups[2].members == [(1, 1)]
+def test_engine_rejects_bad_input():
+    toy = make_model(0)
+    ones = BinaryChannelMask.all_ones(CFG.factor_shape)
+    prompt = np.arange(8)
+    for bad in ([1, CFG.vocab_size], [-1, 2], [], [0.5]):
+        with pytest.raises(ValueError, match="token"):
+            prefill_and_partition(toy, ones, bad, 4, 8)
+    with pytest.raises(ValueError, match="migrate_every"):
+        prefill_and_partition(toy, ones, prompt, 4, 8, migrate_every=0)
+    with pytest.raises(ValueError, match="n_new"):
+        greedy_decode(toy, prompt, -3, ones, 4, 8)
+    kv, _ = prefill_and_partition(toy, ones, prompt, 4, 8)
+    with pytest.raises(ValueError, match="token ids"):
+        cache.decode_step(toy, kv, CFG.vocab_size)
+    assert kv.seq_len == len(prompt)  # a rejected token leaves the cache as it was
 
 
 def test_memory_report_oracle():
@@ -217,14 +278,6 @@ def test_memory_report_consistent_with_stored_cache():
     assert kv.stored_v_elements() * 2 == rep.bytes_v_pruned
 
 
-def test_decode_timing_returns_both_rates():
-    toy = make_model(12)
-    prompt = np.random.default_rng(12).integers(0, CFG.vocab_size, size=24)
-    beta = random_beta(np.random.default_rng(12))
-    out = cache.decode_timing(toy, beta, prompt, 4, sink=4, window=8)
-    assert out["pruned_s_per_token"] > 0 and out["dense_s_per_token"] > 0
-
-
 def test_question_tokens_decode_through_cache():
     toy = make_model(13)
     rng = np.random.default_rng(13)
@@ -234,4 +287,6 @@ def test_question_tokens_decode_through_cache():
     a, _, kv_a = greedy_decode(toy, prompt, 5, ones, 4, 8)
     b, _, kv_b = greedy_decode(toy, prompt[:-3], 5, ones, 4, 8, question=prompt[-3:])
     np.testing.assert_array_equal(a, b)
-    assert kv_a.total_tokens() == kv_b.total_tokens()
+    seq = np.concatenate([prompt, a])
+    assert_stores_hold(kv_a, toy, seq)
+    assert_stores_hold(kv_b, toy, seq)

@@ -143,7 +143,7 @@ def test_cli_errors_return_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_decode_with_explicit_tokens(tmp_path, capsys):
+def decode_setup(tmp_path):
     ckpt = tmp_path / "model.pkv"
     storage.save_checkpoint(ckpt, ToyTransformer.create(CFG, seed=3))
     cfg_path = tmp_path / "cfg.json"
@@ -152,9 +152,34 @@ def test_cli_decode_with_explicit_tokens(tmp_path, capsys):
         model={"n_layers": 1, "n_q_heads": 2, "n_kv_heads": 2, "head_dim": 8,
                "d_ff": 16, "vocab_size": 32, "max_pos": 64},
         train={"sink": 2, "window": 4}).to_dict())
-    code = cli.main(["decode", str(ckpt), "--config", str(cfg_path),
-                     "--tokens", "1,2,3,4,5,6,7,8", "--n-new", "3"])
+    return ["decode", str(ckpt), "--config", str(cfg_path)]
+
+
+def test_cli_decode_with_explicit_tokens(tmp_path, capsys):
+    code = cli.main(decode_setup(tmp_path) + ["--tokens", "1,2,3,4,5,6,7,8", "--n-new", "3"])
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("tokens: ")
     assert len(out.splitlines()[0].split()) == 4  # label + 3 tokens
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--tokens", "1,2,99"], "token ids must be in [0, 32)"),
+    (["--tokens", "1,-5,3"], "token ids must be in [0, 32)"),
+    (["--tokens", "1,2,3", "--n-new", "-3"], "n_new must be >= 0"),
+])
+def test_cli_decode_rejects_bad_input(tmp_path, capsys, args, message):
+    assert cli.main(decode_setup(tmp_path) + args) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "tokens:" not in captured.out
+
+
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    storage.save_json(cfg_path, {"prune_ratoi": 0.5})
+    assert cli.main(["memory-report", str(tmp_path / "beta.pkv"),
+                     "--config", str(cfg_path)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config keys ['prune_ratoi']")
+    assert "prune_ratio" in err  # the valid keys are named
