@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+MASK_NEG = -1e30  # additive-mask value for keys a query must not see
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -246,6 +248,18 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), (a,), bwd)
 
 
+def concat(parts, axis):
+    """Join tensors along `axis`; each part's gradient is its slice of the output's."""
+    parts = [_lift(p) for p in parts]
+    ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
+
+    def bwd(g):
+        for p, gp in zip(parts, np.split(g, ends, axis=axis)):
+            _accum(p, gp)
+
+    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
+
+
 def getitem(a, idx):
     a = _lift(a)
 
@@ -317,6 +331,16 @@ def silu_fwd(x):
     """(x * sigmoid(x), sigmoid(x))."""
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s, s
+
+
+def rope_angles(head_dim, positions, base=10000.0):
+    """(cos, sin) tables of shape (len(positions), head_dim // 2)."""
+    if head_dim % 2 != 0:
+        raise ValueError(f"head_dim must be even, got {head_dim}")
+    positions = np.asarray(positions, dtype=np.float64)
+    inv_freq = base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+    ang = positions[:, None] * inv_freq[None, :]
+    return np.cos(ang), np.sin(ang)
 
 
 def rotate_half(x, cos, sin):

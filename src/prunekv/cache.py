@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import MASK_NEG, rope_angles
 
 DEFAULT_MIGRATE_EVERY = 32
 DEFAULT_BYTES_PER_ELEMENT = 2  # fp16 deployment accounting
@@ -38,7 +37,7 @@ def _layer_loop(w, config, tokens, start, attend):
     """
     c = config
     t, d = len(tokens), c.head_dim
-    cos, sin = rope_angles(d, np.arange(start, start + t), c.rope_base)
+    cos, sin = ad.rope_angles(d, np.arange(start, start + t), c.rope_base)
     cos, sin = cos[:, None], sin[:, None]  # broadcast over heads
     x = w["tok_emb"][tokens]
     for i in range(c.n_layers):
@@ -57,13 +56,14 @@ def np_forward(weights, config, tokens, want_q=False):
 
     Returns (per-layer list, logits (T, vocab)). Each layer entry is
     (k, v) of shape (T, n_kv, d) post-RoPE, plus q (T, n_q, d) if requested.
+    Mask learning's context pass (`model.context_kv`) runs it too.
     """
     c = config
     tokens = np.asarray(tokens)
     t = len(tokens)
     if t > c.max_pos:
         raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
-    additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, MASK_NEG)
+    additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, ad.MASK_NEG)
     layers = []
 
     def attend(i, q, k, v):

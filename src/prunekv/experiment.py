@@ -56,16 +56,18 @@ class ExperimentConfig:
         if "seq_len_range" in self.train:
             train = {**self.train, "seq_len_range": tuple(self.train["seq_len_range"])}
             object.__setattr__(self, "train", train)
+        self.model_config()  # reject bad model and train settings on load
+        self.train_spec()
 
     @property
     def keep_ratio(self):
         return 1.0 - self.prune_ratio
 
     def model_config(self):
-        return model_mod.ModelConfig(**self.model)
+        return model_mod.ModelConfig(**_known_keys("model", self.model, model_mod.ModelConfig))
 
     def train_spec(self):
-        return masking.TrainSpec(**self.train)
+        return masking.TrainSpec(**_known_keys("train", self.train, masking.TrainSpec))
 
     def resolve_out(self):
         root = os.environ.get(OUT_ROOT_ENV, "")
@@ -79,15 +81,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        valid = sorted(f.name for f in fields(cls))
-        unknown = sorted(set(d) - set(valid))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; valid keys are {valid}")
-        return cls(**d)
+        return cls(**_known_keys("config", d, cls))
 
     def hash(self):
         return storage.config_hash(self.to_dict())
+
+
+def _known_keys(what, d, cls):
+    """`d` as a dict, or ValueError naming the valid keys if one is not a field of `cls`."""
+    d = dict(d)
+    valid = sorted(f.name for f in fields(cls))
+    unknown = sorted(set(d) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; valid keys are {valid}")
+    return d
 
 
 def _task_spec(cfg, kind, seq_len, seed):

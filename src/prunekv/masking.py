@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DivergenceError, Tensor
-from .model import build_masks, forward_full, forward_scaled
+from .model import answer_rows, build_masks, context_kv
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,14 @@ class TrainSpec:
                 raise ValueError(f"{name} must be positive")
         if self.steps_stage1 < 0 or self.steps_stage2 < 0:
             raise ValueError("step counts must be >= 0")
+        if self.sink < 0 or self.window < 0:
+            raise ValueError(f"sink and window must be >= 0, got {self.sink} and {self.window}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        lo, hi = self.seq_len_range
+        if not 1 <= lo <= hi:
+            raise ValueError(f"seq_len_range must be (lo, hi) with 1 <= lo <= hi, "
+                             f"got {tuple(self.seq_len_range)}")
 
 
 @dataclass
@@ -151,11 +159,14 @@ def _sample_lengths(rng, spec):
 
 
 def _distill_step(model, batch, factors, masks, lam, alpha):
+    """Distillation loss of the answer rows, teacher and student sharing one
+    context pass: the context rows are the same for both."""
     tokens = np.stack([s.tokens for s in batch])
     n_ans = len(batch[0].ans_tokens)
-    full = forward_full(model, tokens, n_ans)
-    scaled = forward_scaled(model, tokens, n_ans, factors, masks)
-    return stage1_loss(full.h_last.data, scaled.h_last, alpha, lam)
+    ctx = context_kv(model, tokens, n_ans)
+    teacher = answer_rows(model, ctx, tokens, n_ans)
+    student = answer_rows(model, ctx, tokens, n_ans, factors, masks)
+    return stage1_loss(teacher.data, student, alpha, lam)
 
 
 def stage1_train(model, task_stream, spec, log=None):

@@ -1,9 +1,11 @@
 """A small frozen GQA transformer with RoPE.
 
 Supports standard causal attention, the region-scaled attention used while
-learning channel importance (context rows attend fully; answer rows see the
-sink + local window full-width and a per-channel-scaled middle region), and a
-pretraining mode so the model actually performs retrieval before pruning.
+learning channel importance, and a pretraining mode so the model actually
+performs retrieval before pruning. Region scaling changes only the answer
+rows (they see the sink + local window full-width and a per-channel-scaled
+middle region), so the scaled pass runs just those rows, through Tensor ops,
+against the keys and values of one plain-numpy context pass.
 """
 from __future__ import annotations
 
@@ -12,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-
-MASK_NEG = -1e30
+from . import cache
+from .autodiff import MASK_NEG, Tensor, rope_angles
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,6 @@ class ModelConfig:
     @property
     def factor_shape(self):
         return (self.n_layers, self.n_kv_heads, self.head_dim)
-
-
-def rope_angles(head_dim, positions, base=10000.0):
-    """(cos, sin) tables of shape (len(positions), head_dim // 2)."""
-    if head_dim % 2 != 0:
-        raise ValueError(f"head_dim must be even, got {head_dim}")
-    positions = np.asarray(positions, dtype=np.float64)
-    inv_freq = base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
-    ang = positions[:, None] * inv_freq[None, :]
-    return np.cos(ang), np.sin(ang)
 
 
 def apply_rope(x, positions, base=10000.0):
@@ -94,23 +85,30 @@ def build_masks(n_ctx, n_ans, sink, window):
                                 causal=causal, s_plus_l=s_plus_l, mid=mid)
 
 
+def param_shapes(config):
+    """{name: shape} of every parameter of a model with `config`, in init order."""
+    c = config
+    d, d_q, d_kv = c.d_model, c.n_q_heads * c.head_dim, c.n_kv_heads * c.head_dim
+    shapes = {"tok_emb": (c.vocab_size, d)}
+    for i in range(c.n_layers):
+        shapes.update({f"l{i}.attn_norm": (d,), f"l{i}.wq": (d, d_q), f"l{i}.wk": (d, d_kv),
+                       f"l{i}.wv": (d, d_kv), f"l{i}.wo": (d_q, d), f"l{i}.ffn_norm": (d,),
+                       f"l{i}.w_gate": (d, c.d_ff), f"l{i}.w_up": (d, c.d_ff),
+                       f"l{i}.w_down": (c.d_ff, d)})
+    shapes.update({"final_norm": (d,), "lm_head": (d, c.vocab_size)})
+    return shapes
+
+
 def _init_params(config, rng):
     c = config
-    d, std = c.d_model, c.d_model ** -0.5
-    out_std = std / np.sqrt(2 * c.n_layers)
-    p = {"tok_emb": rng.normal(0.0, 0.02, (c.vocab_size, d))}
-    for i in range(c.n_layers):
-        p[f"l{i}.attn_norm"] = np.ones(d)
-        p[f"l{i}.wq"] = rng.normal(0.0, std, (d, c.n_q_heads * c.head_dim))
-        p[f"l{i}.wk"] = rng.normal(0.0, std, (d, c.n_kv_heads * c.head_dim))
-        p[f"l{i}.wv"] = rng.normal(0.0, std, (d, c.n_kv_heads * c.head_dim))
-        p[f"l{i}.wo"] = rng.normal(0.0, out_std, (c.n_q_heads * c.head_dim, d))
-        p[f"l{i}.ffn_norm"] = np.ones(d)
-        p[f"l{i}.w_gate"] = rng.normal(0.0, std, (d, c.d_ff))
-        p[f"l{i}.w_up"] = rng.normal(0.0, std, (d, c.d_ff))
-        p[f"l{i}.w_down"] = rng.normal(0.0, c.d_ff ** -0.5 / np.sqrt(2 * c.n_layers), (c.d_ff, d))
-    p["final_norm"] = np.ones(d)
-    p["lm_head"] = rng.normal(0.0, std, (d, c.vocab_size))
+    std = c.d_model ** -0.5
+    stds = {"tok_emb": 0.02, "wo": std / np.sqrt(2 * c.n_layers),
+            "w_down": c.d_ff ** -0.5 / np.sqrt(2 * c.n_layers)}
+    p = {}
+    for name, shape in param_shapes(c).items():
+        kind = name.split(".")[-1]
+        p[name] = (np.ones(shape) if kind.endswith("norm")
+                   else rng.normal(0.0, stds.get(kind, std), shape))
     return {k: Tensor(v, requires_grad=True) for k, v in p.items()}
 
 
@@ -141,8 +139,10 @@ class ForwardRecord:
     """Activations from one forward pass.
 
     `h_last` is a Tensor (B, n_ans, d_model) of last-layer hidden states for
-    the answer rows; `logits` covers all positions. `layers` holds detached
-    post-RoPE (q, k, v) ndarrays per layer when recording was requested.
+    the answer rows. From `forward_full`, `logits` covers all positions and
+    `layers` holds detached post-RoPE (q, k, v) ndarrays per layer when
+    recording was requested; `forward_scaled` runs only the answer rows and
+    returns `logits` None and `layers` empty.
     """
 
     h_last: Tensor
@@ -151,21 +151,102 @@ class ForwardRecord:
     layers: list
 
 
-def _forward(model, tokens, n_ans, factors=None, masks=None, want_record=False):
-    c = model.config
-    p = model.params
+def _as_batch(config, tokens, n_ans):
+    """(tokens as (B, T), whether they came 1-d), after the length checks."""
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
     if squeeze:
         tokens = tokens[None, :]
-    bsz, t = tokens.shape
-    if t > c.max_pos:
-        raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
+    t = tokens.shape[1]
+    if t > config.max_pos:
+        raise ValueError(f"sequence length {t} exceeds max_pos {config.max_pos}")
     if n_ans < 0 or n_ans > t:
         raise ValueError(f"invalid answer length {n_ans} for sequence of {t}")
-    n_ctx = t - n_ans
-    d, g = c.head_dim, c.group_size
+    return tokens, squeeze
 
+
+def _layers(w, config, x, cos, sin, attend):
+    """Final-norm hidden states of x (B, T, d_model) after every layer.
+
+    `w` maps parameter names to Tensors or constant ndarrays. `attend(i, q,
+    k, v)` is layer i's attention: it gets post-RoPE q (B, n_kv, g, T, d)
+    and k, v (B, n_kv, 1, T, d) and returns (B, n_kv, g, T, d).
+    """
+    c = config
+    bsz, t = x.shape[:2]
+    d, g = c.head_dim, c.group_size
+    for i in range(c.n_layers):
+        h = ad.rms_norm(x, w[f"l{i}.attn_norm"])
+        q = (h @ w[f"l{i}.wq"]).reshape(bsz, t, c.n_q_heads, d).transpose(0, 2, 1, 3)
+        k = (h @ w[f"l{i}.wk"]).reshape(bsz, t, c.n_kv_heads, d).transpose(0, 2, 1, 3)
+        v = (h @ w[f"l{i}.wv"]).reshape(bsz, t, c.n_kv_heads, d).transpose(0, 2, 1, 3)
+        q = ad.rope_rotate(q, cos, sin).reshape(bsz, c.n_kv_heads, g, t, d)
+        k = ad.rope_rotate(k, cos, sin).reshape(bsz, c.n_kv_heads, 1, t, d)
+        out = attend(i, q, k, v.reshape(bsz, c.n_kv_heads, 1, t, d))
+        x = x + out.transpose(0, 3, 1, 2, 4).reshape(bsz, t, c.n_q_heads * d) @ w[f"l{i}.wo"]
+        h2 = ad.rms_norm(x, w[f"l{i}.ffn_norm"])
+        x = x + (ad.silu(h2 @ w[f"l{i}.w_gate"]) * (h2 @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
+    return ad.rms_norm(x, w["final_norm"])
+
+
+def _forward(model, tokens, n_ans, want_record=False):
+    """Full causal attention over every row, through the model's Tensors."""
+    c = model.config
+    p = model.params
+    tokens, squeeze = _as_batch(c, tokens, n_ans)
+    bsz, t = tokens.shape
+    cos, sin = rope_angles(c.head_dim, np.arange(t), c.rope_base)
+    additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, MASK_NEG)
+    scale = 1.0 / np.sqrt(c.head_dim)
+    layers = []
+
+    def attend(i, q, k, v):
+        if want_record:
+            layers.append(tuple(a.data.reshape(bsz, -1, t, c.head_dim) for a in (q, k, v)))
+        return ad.softmax((q @ k.transpose(0, 1, 2, 4, 3)) * scale, additive_mask=additive) @ v
+
+    h_final = _layers(p, c, ad.embedding(p["tok_emb"], tokens), cos, sin, attend)
+    logits_out = h_final @ p["lm_head"]
+    h_last = h_final[:, t - n_ans:, :]
+    if squeeze:
+        h_last = h_last.reshape(n_ans, c.d_model)
+        logits_out = logits_out.reshape(t, c.vocab_size)
+    return ForwardRecord(h_last=h_last, logits=logits_out, n_ans=n_ans, layers=layers)
+
+
+def context_kv(model, tokens, n_ans):
+    """Per-layer post-RoPE (K, V) of the context rows of `tokens` (B, T),
+    all but the last `n_ans`, each (B, n_kv, 1, n_ctx, d).
+
+    One plain-numpy `cache.np_forward` pass per sequence, with no graph:
+    causal context rows never see the answer rows or the factors.
+    """
+    c = model.config
+    n_ctx = tokens.shape[1] - n_ans
+    if n_ctx < 1:
+        raise ValueError(f"answer length {n_ans} leaves no context rows")
+    w = model.weights_numpy()
+    passes = [cache.np_forward(w, c, row[:n_ctx])[0] for row in tokens]
+    return [tuple(np.stack([kv[i][j] for kv in passes]).transpose(0, 2, 1, 3)[:, :, None]
+                  for j in (0, 1)) for i in range(c.n_layers)]
+
+
+def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
+    """Final-norm hidden states (B, n_ans, d_model) of the last `n_ans` rows
+    of `tokens` (B, T), attending to the `context_kv` keys and values `ctx`
+    and to each other.
+
+    Without `factors` attention is plain causal. With `factors` (L, n_kv, d)
+    it is region-scaled by `masks` (from `build_masks`): keys in a row's
+    sink and window score at full width, all other keys, answer keys
+    included, with their channels scaled by the head's factors. The factors
+    scale q, as (a * q) . k = q . (a * k), so the graph holds no (T, T)
+    tensor: its scores are (B, n_kv, g, n_ans, T). The weights are constants
+    here; only `factors` carries a gradient.
+    """
+    c = model.config
+    t = tokens.shape[1]
+    n_ctx, d = t - n_ans, c.head_dim
     if factors is not None:
         if masks is None:
             raise ValueError("scaled forward requires region masks")
@@ -175,54 +256,24 @@ def _forward(model, tokens, n_ans, factors=None, masks=None, want_record=False):
             factors = Tensor(factors)
         if factors.shape != c.factor_shape:
             raise ad.ShapeError(f"factors shape {factors.shape} != {c.factor_shape}")
+        f_sl = masks.s_plus_l[n_ctx:] / np.sqrt(d)
+        f_mid = masks.mid[n_ctx:] / np.sqrt(d)
+    else:
+        f_sl = 1.0 / np.sqrt(d)
+    w = model.weights_numpy()
+    pos = np.arange(n_ctx, t)
+    cos, sin = rope_angles(d, pos, c.rope_base)
+    additive = np.where(np.arange(t) <= pos[:, None], 0.0, MASK_NEG)
 
-    q_pos = np.arange(t)
-    cos, sin = rope_angles(d, q_pos, c.rope_base)
-    causal = np.tril(np.ones((t, t), dtype=bool))
-    additive = np.where(causal, 0.0, MASK_NEG)
-    if factors is not None:
-        # context-query rows keep full causal attention; only answer rows split
-        f_sl = causal.astype(np.float64)
-        f_mid = np.zeros((t, t))
-        f_sl[n_ctx:] = masks.s_plus_l[n_ctx:]
-        f_mid[n_ctx:] = masks.mid[n_ctx:]
-
-    x = ad.embedding(p["tok_emb"], tokens)
-    layers = []
-    scale = 1.0 / np.sqrt(d)
-    for i in range(c.n_layers):
-        h = ad.rms_norm(x, p[f"l{i}.attn_norm"])
-        q = (h @ p[f"l{i}.wq"]).reshape(bsz, t, c.n_q_heads, d).transpose(0, 2, 1, 3)
-        k = (h @ p[f"l{i}.wk"]).reshape(bsz, t, c.n_kv_heads, d).transpose(0, 2, 1, 3)
-        v = (h @ p[f"l{i}.wv"]).reshape(bsz, t, c.n_kv_heads, d).transpose(0, 2, 1, 3)
-        q = ad.rope_rotate(q, cos, sin)
-        k = ad.rope_rotate(k, cos, sin)
-        if want_record:
-            layers.append((q.data.copy(), k.data.copy(), v.data.copy()))
-        qg = q.reshape(bsz, c.n_kv_heads, g, t, d)
-        kb = k.reshape(bsz, c.n_kv_heads, 1, t, d)
-        vb = v.reshape(bsz, c.n_kv_heads, 1, t, d)
-        logits_full = (qg @ kb.transpose(0, 1, 2, 4, 3)) * scale
+    def attend(i, q, k, v):
+        k_ctx, v_ctx = ctx[i]
+        keys = ad.concat([k_ctx, k], axis=-2).transpose(0, 1, 2, 4, 3)
+        s = (q @ keys) * f_sl
         if factors is not None:
-            alpha_l = factors[i].reshape(1, c.n_kv_heads, 1, 1, d)
-            ks = kb * alpha_l
-            logits_mid = (qg @ ks.transpose(0, 1, 2, 4, 3)) * scale
-            logits = logits_full * f_sl + logits_mid * f_mid
-        else:
-            logits = logits_full
-        attn = ad.softmax(logits, additive_mask=additive)
-        out = (attn @ vb).transpose(0, 3, 1, 2, 4).reshape(bsz, t, c.n_q_heads * d)
-        x = x + out @ p[f"l{i}.wo"]
-        h2 = ad.rms_norm(x, p[f"l{i}.ffn_norm"])
-        x = x + (ad.silu(h2 @ p[f"l{i}.w_gate"]) * (h2 @ p[f"l{i}.w_up"])) @ p[f"l{i}.w_down"]
+            s = s + ((q * factors[i].reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
+        return ad.softmax(s, additive_mask=additive) @ ad.concat([v_ctx, v], axis=-2)
 
-    h_final = ad.rms_norm(x, p["final_norm"])
-    logits_out = h_final @ p["lm_head"]
-    h_last = h_final[:, n_ctx:, :]
-    if squeeze:
-        h_last = h_last.reshape(n_ans, c.d_model)
-        logits_out = logits_out.reshape(t, c.vocab_size)
-    return ForwardRecord(h_last=h_last, logits=logits_out, n_ans=n_ans, layers=layers)
+    return _layers(w, c, Tensor(w["tok_emb"][tokens[:, n_ctx:]]), cos, sin, attend)
 
 
 def forward_full(model, tokens, n_ans, want_record=False):
@@ -230,9 +281,18 @@ def forward_full(model, tokens, n_ans, want_record=False):
     return _forward(model, tokens, n_ans, want_record=want_record)
 
 
-def forward_scaled(model, tokens, n_ans, factors, masks, want_record=False):
-    """Region-scaled attention: middle-region keys are scaled per channel."""
-    return _forward(model, tokens, n_ans, factors=factors, masks=masks, want_record=want_record)
+def forward_scaled(model, tokens, n_ans, factors, masks):
+    """Region-scaled attention: middle-region keys are scaled per channel.
+
+    Only the answer rows are computed (`answer_rows`), against one numpy
+    context pass; context rows attend causally and do not depend on the
+    factors.
+    """
+    tokens, squeeze = _as_batch(model.config, tokens, n_ans)
+    h_last = answer_rows(model, context_kv(model, tokens, n_ans), tokens, n_ans, factors, masks)
+    if squeeze:
+        h_last = h_last.reshape(n_ans, model.config.d_model)
+    return ForwardRecord(h_last=h_last, logits=None, n_ans=n_ans, layers=[])
 
 
 def pretrain(model, task_stream, steps, lr, seed=0, log=None):

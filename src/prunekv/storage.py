@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .masking import BinaryChannelMask
-from .model import ModelConfig, ToyTransformer
+from .model import ModelConfig, ToyTransformer, param_shapes
 from .autodiff import Tensor
 
 MAGIC = b"PKVF"
@@ -146,6 +146,15 @@ def load_checkpoint(path):
     cfg = dict(meta["config"])
     cfg.pop("d_model", None)  # derived
     config = ModelConfig(**cfg)
+    want = param_shapes(config)
+    for name in sorted(set(want) | set(arrays)):
+        if name not in arrays:
+            raise StorageError(f"{path}: parameter {name!r} is missing")
+        if name not in want:
+            raise StorageError(f"{path}: unexpected parameter {name!r}")
+        if arrays[name].shape != want[name]:
+            raise StorageError(f"{path}: parameter {name!r} has shape {arrays[name].shape}, "
+                               f"the config needs {want[name]}")
     params = {k: Tensor(v) for k, v in arrays.items()}
     return ToyTransformer(config, params)
 

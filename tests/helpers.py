@@ -89,6 +89,55 @@ def reference_forward(weights, config, tokens, prompt_len=None, bits=None,
                      for p in range(t)])
 
 
+def reference_scaled_forward(weights, config, tokens, n_ans, factors, sink, window):
+    """Full-sequence region-scaled forward pass of one sequence.
+
+    Every row is computed. Context rows (all but the last `n_ans`) attend
+    causally at full width. An answer row at position p scores a key at
+    position k <= p at full width when k < sink or p - k < window, and
+    otherwise through the key scaled channel-wise by its head's `factors`
+    (L, n_kv, d): q . (factors * k). Returns (final-norm hidden states
+    (T, d_model), logits (T, vocab), per layer (q (n_q, T, d), k (n_kv, T,
+    d), v (n_kv, T, d)) post-RoPE).
+    """
+    c = config
+    tokens = np.asarray(tokens)
+    t, d, g = len(tokens), c.head_dim, c.group_size
+    pos = np.arange(t)
+    causal = pos[None, :] <= pos[:, None]
+    full_key = (pos[None, :] < sink) | (pos[:, None] - pos[None, :] < window)
+    scaled_key = causal & ~full_key & (pos[:, None] >= t - n_ans)
+    x = weights["tok_emb"][tokens]
+    layers = []
+    for li in range(c.n_layers):
+        h = np.stack([ref_rms(row, weights[f"l{li}.attn_norm"]) for row in x])
+
+        def heads(name, n, rope):
+            out = (h @ weights[f"l{li}.{name}"]).reshape(t, n, d).transpose(1, 0, 2)
+            if rope:
+                out = np.array([[ref_rope_vec(vec, p, c.rope_base) for p, vec in enumerate(head)]
+                                for head in out])
+            return out
+
+        q = heads("wq", c.n_q_heads, True)
+        k, v = heads("wk", c.n_kv_heads, True), heads("wv", c.n_kv_heads, False)
+        layers.append((q, k, v))
+        attn_out = np.zeros((t, c.n_q_heads * d))
+        for qh in range(c.n_q_heads):
+            kv = qh // g
+            scores = np.where(scaled_key, q[qh] @ (k[kv] * factors[li, kv]).T, q[qh] @ k[kv].T)
+            scores = np.where(causal, scores / np.sqrt(d), -np.inf)
+            probs = np.stack([ref_softmax(row) for row in scores])
+            attn_out[:, qh * d:(qh + 1) * d] = probs @ v[kv]
+        x = x + attn_out @ weights[f"l{li}.wo"]
+        for p in range(t):
+            h2 = ref_rms(x[p], weights[f"l{li}.ffn_norm"])
+            x[p] = x[p] + (ref_silu(h2 @ weights[f"l{li}.w_gate"])
+                           * (h2 @ weights[f"l{li}.w_up"])) @ weights[f"l{li}.w_down"]
+    hidden = np.stack([ref_rms(row, weights["final_norm"]) for row in x])
+    return hidden, hidden @ weights["lm_head"], layers
+
+
 def reference_greedy_decode(weights, config, prompt, n_new, bits, sink, window,
                             streaming=()):
     """Stateless pruned greedy decoding; returns (tokens, per-step logits)."""

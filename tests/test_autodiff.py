@@ -52,6 +52,16 @@ def test_transpose_reshape_getitem_grad():
     fd_check(loss, RNG.normal(size=(2, 2, 6)))
 
 
+def test_concat_grad_splits_between_parts():
+    const = RNG.normal(size=(2, 1, 3))
+    w = RNG.normal(size=(2, 3, 3))
+    # the constant part takes no gradient; the tensor appears twice
+    fd_check(lambda x: ad.sum_squares(ad.concat([const, x, x * 2.0], axis=1) * w),
+             RNG.normal(size=(2, 1, 3)))
+    got = ad.concat([Tensor(np.zeros((1, 2))), Tensor(np.ones((2, 2)))], axis=0)
+    np.testing.assert_array_equal(got.data, [[0, 0], [1, 1], [1, 1]])
+
+
 def test_getitem_repeated_index_accumulates():
     x = Tensor(np.arange(4.0), requires_grad=True)
     idx = np.array([1, 1, 2])

@@ -1,4 +1,6 @@
 """Mask selection oracle checks and two-stage training behavior."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,10 @@ def test_train_spec_defaults_and_validation():
         TrainSpec(lr_stage1=-1.0)
     with pytest.raises(ValueError):
         TrainSpec(steps_stage1=-1)
+    for bad in ({"sink": -1}, {"window": -3}, {"batch": 0}, {"seq_len_range": (300, 200)},
+                {"seq_len_range": (0, 10)}):
+        with pytest.raises(ValueError):
+            TrainSpec(**bad)
 
 
 def test_stage1_loss_value_and_shape_error():
@@ -122,6 +128,27 @@ def test_stage1_loss_value_and_shape_error():
     assert np.isclose(loss.data, want, rtol=1e-12)
     with pytest.raises(ad.ShapeError):
         masking.stage1_loss(hf, ad.Tensor(rng.normal(size=(2, 5))), alpha, 0.06)
+
+
+def test_stage1_step_memory_bound_at_t1024():
+    # one stage-1 step at T=1024 on the default model: the graph covers only
+    # the answer rows (about 84 MiB traced peak, mostly the numpy context
+    # pass's (n_kv, g, T, T) score buffer); a graph over every row took 5.7 GB
+    toy = pm.ToyTransformer.create(pm.ModelConfig(), seed=0)
+
+    def stream(rng, seq_len):
+        tok = rng.integers(0, toy.config.vocab_size, size=seq_len)
+        return [tasks.TaskSample(ctx_tokens=tok[:-2], ans_tokens=tok[-2:], query_key=0)]
+
+    spec = TrainSpec(steps_stage1=1, seq_len_range=(1024, 1024))
+    tracemalloc.start()
+    try:
+        _, losses = masking.stage1_train(toy, stream, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(losses).all()
+    assert peak < 256 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
 
 
 def _tiny_setup():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import prunekv.autodiff as ad
-from prunekv import model as pm
+from prunekv import masking, model as pm
 from prunekv.model import ModelConfig, ToyTransformer, apply_rope, build_masks, rope_angles
 
 import helpers
@@ -119,12 +119,13 @@ def test_scaled_with_zero_factors_zeroes_mid_logits():
     expect[np.where(masks.mid[row, :13])[0]] = 0.0
     p_expect = np.exp(expect) / np.exp(expect).sum()
 
-    scaled = pm.forward_scaled(toy, tokens, 1, np.zeros(c.factor_shape), masks,
-                               want_record=True)
-    qs, ks, vs = scaled.layers[0]
+    # forward_scaled keeps no per-layer record; the full-sequence oracle does
+    _, _, scaled_layers = helpers.reference_scaled_forward(
+        toy.weights_numpy(), c, tokens, 1, np.zeros(c.factor_shape), sink=2, window=3)
+    qs, ks, vs = scaled_layers[0]  # (n_heads, T, d)
     # first layer q/k identical to the full pass; recompute the scaled row
-    np.testing.assert_allclose(qs, q, rtol=1e-12)
-    ls = qs[0, 0, row] @ ks[0, 0].T / 2.0
+    np.testing.assert_allclose(qs, q[0], rtol=1e-12)
+    ls = qs[0, row] @ ks[0].T / 2.0
     ls_masked = ls * masks.s_plus_l[row, :13]  # mid term vanishes when factors are 0
     p_got = np.exp(ls_masked) / np.exp(ls_masked).sum()
     np.testing.assert_allclose(p_got, p_expect, rtol=1e-10)
@@ -133,13 +134,52 @@ def test_scaled_with_zero_factors_zeroes_mid_logits():
 def test_scaled_context_rows_keep_full_attention():
     toy = ToyTransformer.create(TINY, seed=6)
     tokens = np.random.default_rng(6).integers(0, TINY.vocab_size, size=24)
-    masks = build_masks(n_ctx=20, n_ans=4, sink=2, window=4)
     rng_factors = np.random.default_rng(7).uniform(0.0, 2.0, TINY.factor_shape)
     full = pm.forward_full(toy, tokens, 4)
-    scaled = pm.forward_scaled(toy, tokens, 4, rng_factors, masks)
+    # forward_scaled computes only the answer rows; the full-sequence oracle
+    # computes every row
+    _, scaled_logits, _ = helpers.reference_scaled_forward(
+        toy.weights_numpy(), TINY, tokens, 4, rng_factors, sink=2, window=4)
     # context-row logits are unaffected by the factors
-    np.testing.assert_allclose(scaled.logits.data[:19], full.logits.data[:19], atol=1e-10)
-    assert not np.allclose(scaled.logits.data[20:], full.logits.data[20:])
+    np.testing.assert_allclose(scaled_logits[:19], full.logits.data[:19], atol=1e-10)
+    assert not np.allclose(scaled_logits[20:], full.logits.data[20:])
+
+
+@pytest.mark.parametrize("n_ctx, n_ans, sink, window, batch", [
+    (20, 2, 0, 4, 1),  # no sink
+    (20, 2, 3, 0, 1),  # no window: each answer row scales its own key
+    (18, 5, 2, 3, 1),  # answer keys fall in the middle
+    (20, 3, 2, 4, 2),  # a batch of two
+])
+def test_scaled_answer_rows_match_full_sequence_oracle(n_ctx, n_ans, sink, window, batch):
+    c = ModelConfig(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=4,
+                    d_ff=16, vocab_size=32, max_pos=64)
+    toy = ToyTransformer.create(c, seed=11)
+    toy.set_trainable(False)
+    rng = np.random.default_rng(11)
+    tokens = rng.integers(0, c.vocab_size, size=(batch, n_ctx + n_ans))
+    masks = build_masks(n_ctx, n_ans, sink, window)
+    alpha0 = rng.uniform(0.5, 1.5, c.factor_shape)
+    alpha0[1, 0] = 0.0  # a head whose middle keys all score 0
+    weights = toy.weights_numpy()
+
+    def oracle_h_last(a):
+        return np.stack([helpers.reference_scaled_forward(weights, c, row, n_ans, a, sink,
+                                                          window)[0][n_ctx:] for row in tokens])
+
+    got = pm.forward_scaled(toy, tokens, n_ans, alpha0, masks).h_last.data
+    np.testing.assert_allclose(got, oracle_h_last(alpha0), rtol=0, atol=1e-10)
+
+    h_full = pm.forward_full(toy, tokens, n_ans).h_last.data
+    for lam in (0.0, 0.06):
+        alpha = ad.Tensor(alpha0.copy(), requires_grad=True)
+        masking.stage1_loss(h_full, pm.forward_scaled(toy, tokens, n_ans, alpha, masks).h_last,
+                            alpha, lam).backward()
+        fd = ad.finite_difference_gradient(
+            lambda a: ((oracle_h_last(a) - h_full) ** 2).sum() + lam * np.abs(a).sum(),
+            alpha0.copy(), eps=1e-5)
+        rel = np.abs(alpha.grad - fd) / np.maximum(np.abs(fd), 1e-8)
+        assert rel.max() < 1e-4  # the criterion-2 bound
 
 
 def test_gqa_matches_replicated_mha():
@@ -184,6 +224,11 @@ def test_forward_input_validation():
         pm.forward_scaled(toy, np.zeros(8, dtype=int), 1, np.ones(TINY.factor_shape), masks)
     with pytest.raises(ad.ShapeError):
         pm.forward_scaled(toy, np.zeros(5, dtype=int), 1, np.ones((1, 1, 2)), masks)
+    with pytest.raises(ValueError, match="masks"):
+        pm.forward_scaled(toy, np.zeros(5, dtype=int), 1, np.ones(TINY.factor_shape), None)
+    with pytest.raises(ValueError, match="no context"):
+        pm.forward_scaled(toy, np.zeros(3, dtype=int), 3, np.ones(TINY.factor_shape),
+                          build_masks(0, 3, 0, 0))
 
 
 def test_pretrain_reduces_loss_and_freezes():

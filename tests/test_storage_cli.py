@@ -82,6 +82,27 @@ def test_beta_round_trip_and_alignment_enforced(tmp_path):
         storage.load_beta(bad, CFG)
 
 
+def test_checkpoint_shapes_checked_against_config(tmp_path, capsys):
+    path = tmp_path / "model.pkv"
+    storage.save_checkpoint(path, ToyTransformer.create(CFG, seed=2))
+    meta, arrays = storage.load_container(path, "checkpoint")
+    for name, edit in [("l0.wq", lambda a: a.update({"l0.wq": a["l0.wq"][:, :-1]})),
+                       ("lm_head", lambda a: a.pop("lm_head")),
+                       ("l1.wq", lambda a: a.update({"l1.wq": a["l0.wq"]}))]:
+        bad_arrays = dict(arrays)
+        edit(bad_arrays)
+        bad = tmp_path / f"bad_{name}.pkv"
+        storage.save_container(bad, "checkpoint", meta, bad_arrays)
+        with pytest.raises(storage.StorageError, match=f"parameter '{name}'"):
+            storage.load_checkpoint(bad)
+    # the CLI reports it instead of failing inside the forward pass
+    args = decode_setup(tmp_path)
+    args[1] = str(tmp_path / "bad_l0.wq.pkv")
+    assert cli.main(args + ["--tokens", "1,2,3"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "parameter 'l0.wq' has shape (16, 15)" in err
+
+
 def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.pkv"
     toy = ToyTransformer.create(CFG, seed=2)
@@ -183,3 +204,13 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown config keys ['prune_ratoi']")
     assert "prune_ratio" in err  # the valid keys are named
+
+    # keys inside the model and train dicts are checked too
+    decode = decode_setup(tmp_path)[:2] + ["--config", str(cfg_path), "--tokens", "1,2,3"]
+    for nested, message, valid in [
+            ({"train": {"windw": 2}}, "unknown train keys ['windw']", "window"),
+            ({"model": {"n_layer": 1}}, "unknown model keys ['n_layer']", "n_layers")]:
+        storage.save_json(cfg_path, nested)
+        assert cli.main(decode) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and valid in err
