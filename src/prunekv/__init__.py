@@ -8,7 +8,7 @@ stores middle-region keys at reduced width.
 from .autodiff import Adam, DivergenceError, ShapeError, Tensor
 from .model import ModelConfig, ToyTransformer, build_masks, forward_full, forward_scaled
 from .masking import BinaryChannelMask, TrainSpec, select_mask, stage1_train, stage2_train, top_s_r
-from .tasks import TaskSpec, TaskSample, generate, sample_stream, score
+from .tasks import TaskSpec, TaskSample, generate, score
 from .cache import (PartitionedKVCache, decode_step, greedy_decode, memory_report,
                     prefill_and_partition)
 from .analysis import (channel_norm_ratios, dynamic_norm_mask, freq_profile,
@@ -20,7 +20,7 @@ __all__ = [
     "Adam", "DivergenceError", "ShapeError", "Tensor",
     "ModelConfig", "ToyTransformer", "build_masks", "forward_full", "forward_scaled",
     "BinaryChannelMask", "TrainSpec", "select_mask", "stage1_train", "stage2_train", "top_s_r",
-    "TaskSpec", "TaskSample", "generate", "sample_stream", "score",
+    "TaskSpec", "TaskSample", "generate", "score",
     "PartitionedKVCache", "decode_step", "greedy_decode", "memory_report",
     "prefill_and_partition",
     "channel_norm_ratios", "dynamic_norm_mask", "freq_profile", "high_freq_ratio",

@@ -17,6 +17,9 @@ from . import autodiff as ad
 
 DEFAULT_MIGRATE_EVERY = 32
 DEFAULT_BYTES_PER_ELEMENT = 2  # fp16 deployment accounting
+PREFILL_BLOCK = 64  # query rows per prefill block; fastest of 32/64/128/256
+_DIAGONAL_MASK = np.where(np.tril(np.ones((PREFILL_BLOCK, PREFILL_BLOCK), dtype=bool)),
+                          0.0, ad.MASK_NEG)
 
 
 def _check_tokens(tokens, config):
@@ -52,28 +55,36 @@ def _layer_loop(w, config, tokens, start, attend):
 
 
 def np_forward(weights, config, tokens, want_q=False):
-    """Plain-numpy full causal attention forward over a prompt.
+    """Plain-numpy causal attention forward over a prompt, row-blocked.
 
     Returns (per-layer list, logits (T, vocab)). Each layer entry is
-    (k, v) of shape (T, n_kv, d) post-RoPE, plus q (T, n_q, d) if requested.
-    Mask learning's context pass (`model.context_kv`) runs it too.
+    (k, v) of shape (T, n_kv, d) post-RoPE, plus the unscaled q (T, n_q, d)
+    if requested. Query rows go in blocks of `PREFILL_BLOCK`: block
+    [lo, hi) scores only keys [0, hi), which hold every key its rows can
+    see, so each block's plain softmax is exact and the score buffer is
+    (n_kv, g, PREFILL_BLOCK, hi), not (T, T). Mask learning's context pass
+    (`model.context_kv`) runs it too.
     """
     c = config
     tokens = np.asarray(tokens)
     t = len(tokens)
     if t > c.max_pos:
         raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
-    additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, ad.MASK_NEG)
     layers = []
 
     def attend(i, q, k, v):
         layers.append((q, k, v) if want_q else (k, v))
-        qh = q.transpose(1, 0, 2).reshape(c.n_kv_heads, c.group_size, t, c.head_dim)
-        s = qh @ k.transpose(1, 2, 0)[:, None]  # the one (n_kv, g, T, T) score buffer
-        s *= 1.0 / np.sqrt(c.head_dim)
-        s += additive
-        ad.softmax_(s)
-        return (s @ v.transpose(1, 0, 2)[:, None]).transpose(2, 0, 1, 3).reshape(t, -1)
+        qh = (q * (1.0 / np.sqrt(c.head_dim))).transpose(1, 0, 2).reshape(
+            c.n_kv_heads, c.group_size, t, c.head_dim)
+        kt, vh = k.transpose(1, 2, 0)[:, None], v.transpose(1, 0, 2)[:, None]
+        out = np.empty((t, c.n_kv_heads, c.group_size, c.head_dim))
+        rows = out.transpose(1, 2, 0, 3)  # (n_kv, g, T, d) view of out
+        for lo in range(0, t, PREFILL_BLOCK):
+            hi = min(lo + PREFILL_BLOCK, t)
+            s = qh[:, :, lo:hi] @ kt[..., :hi]
+            s[..., lo:] += _DIAGONAL_MASK[:hi - lo, :hi - lo]  # causal only on the diagonal
+            np.matmul(ad.softmax_(s), vh[:, :, :hi], out=rows[:, :, lo:hi])
+        return out.reshape(t, -1)
 
     logits = _layer_loop(weights, c, tokens, 0, attend)
     return layers, logits

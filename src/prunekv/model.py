@@ -9,6 +9,7 @@ against the keys and values of one plain-numpy context pass.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,13 @@ class ModelConfig:
     max_pos: int = 2048
 
     def __post_init__(self):
+        for name in ("n_layers", "n_q_heads", "n_kv_heads", "head_dim", "d_ff", "vocab_size",
+                     "max_pos"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        if not isinstance(self.rope_base, numbers.Real) or not self.rope_base > 0:
+            raise ValueError(f"rope_base must be a positive number, got {self.rope_base!r}")
         if self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be even, got {self.head_dim}")
         if self.n_q_heads % self.n_kv_heads != 0:
@@ -62,7 +70,6 @@ class AttentionRegionMasks:
     n_ans: int
     sink: int
     window: int
-    causal: np.ndarray = field(repr=False, default=None)
     s_plus_l: np.ndarray = field(repr=False, default=None)
     mid: np.ndarray = field(repr=False, default=None)
 
@@ -82,7 +89,7 @@ def build_masks(n_ctx, n_ans, sink, window):
     s_plus_l = causal & ((k < sink) | (q - k < window))
     mid = causal & ~s_plus_l
     return AttentionRegionMasks(n_ctx=n_ctx, n_ans=n_ans, sink=sink, window=window,
-                                causal=causal, s_plus_l=s_plus_l, mid=mid)
+                                s_plus_l=s_plus_l, mid=mid)
 
 
 def param_shapes(config):

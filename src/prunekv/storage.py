@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -24,6 +25,7 @@ VERSION = 1
 ALPHA_KIND = "alpha"
 BETA_KIND = "beta"
 CHECKPOINT_KIND = "checkpoint"
+DTYPES = ("float64", "uint8", "int64")  # the dtypes a container stores
 
 
 class StorageError(ValueError):
@@ -49,7 +51,7 @@ def save_container(path, kind, meta, arrays):
     offset = 0
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype not in (np.dtype(np.float64), np.dtype(np.uint8), np.dtype(np.int64)):
+        if str(arr.dtype) not in DTYPES:
             arr = arr.astype(np.float64)
         blob = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
         specs.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape),
@@ -61,7 +63,32 @@ def save_container(path, kind, meta, arrays):
     _atomic_write(path, MAGIC + struct.pack("<I", len(header)) + header + b"".join(blobs))
 
 
+def _is_count(x):
+    return type(x) is int and x >= 0
+
+
+def _check_spec(path, spec):
+    """Raise StorageError unless `spec` describes one array consistently."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+        raise StorageError(f"{path}: corrupt array spec {spec!r}")
+    name, dtype, shape = spec["name"], spec.get("dtype"), spec.get("shape")
+    if dtype not in DTYPES:
+        raise StorageError(f"{path}: array {name!r} has dtype {dtype!r}, not one of {DTYPES}")
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        raise StorageError(f"{path}: array {name!r} has shape {shape!r}, "
+                           "not a list of non-negative ints")
+    for key in ("offset", "nbytes"):
+        if not _is_count(spec.get(key)):
+            raise StorageError(f"{path}: array {name!r} has {key} {spec.get(key)!r}, "
+                               "not a non-negative int")
+    need = math.prod(shape) * np.dtype(dtype).itemsize
+    if spec["nbytes"] != need:
+        raise StorageError(f"{path}: array {name!r} has nbytes {spec['nbytes']}, "
+                           f"but shape {shape} of {dtype} needs {need}")
+
+
 def load_container(path, expect_kind=None):
+    """(meta, {name: array}) of a container; StorageError for any corrupt file."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
@@ -73,17 +100,25 @@ def load_container(path, expect_kind=None):
         raise StorageError(f"{path}: truncated header at offset {len(raw)}")
     try:
         header = json.loads(raw[8:8 + hlen])
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise StorageError(f"{path}: corrupt header: {e}") from None
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
+        raise StorageError(f"{path}: corrupt header: not an object with an 'arrays' list")
     if header.get("version") != VERSION:
         raise StorageError(f"{path}: unsupported version {header.get('version')}")
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise StorageError(f"{path}: expected kind {expect_kind!r}, found {header.get('kind')!r}")
-    base = 8 + hlen
+    if not isinstance(header.get("meta"), dict):
+        raise StorageError(f"{path}: corrupt header: 'meta' is not an object")
+    base = offset = 8 + hlen
     arrays = {}
     for spec in header["arrays"]:
+        _check_spec(path, spec)
         start = base + spec["offset"]
-        end = start + spec["nbytes"]
+        if start != offset:  # arrays follow one another, as save_container writes them
+            raise StorageError(f"{path}: array {spec['name']!r} starts at offset {start}, "
+                               f"expected {offset}")
+        end = offset = start + spec["nbytes"]
         if end > len(raw):
             raise StorageError(f"{path}: truncated array {spec['name']!r} at offset {start}")
         arr = np.frombuffer(raw[start:end], dtype=np.dtype(spec["dtype"]).newbyteorder("<"))
@@ -109,11 +144,22 @@ def save_alpha(path, alpha, config, extra=None):
     save_container(path, ALPHA_KIND, meta, {"alpha": np.asarray(alpha, dtype=np.float64)})
 
 
+def _factor_array(path, arrays, name, dtype, config):
+    """`arrays[name]` if it has `dtype` and, given a config, its factor shape."""
+    if name not in arrays:
+        raise StorageError(f"{path}: array {name!r} is missing")
+    arr = arrays[name]
+    if arr.dtype != dtype or (config is not None and arr.shape != config.factor_shape):
+        raise StorageError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, expected "
+                           f"{np.dtype(dtype)} {'' if config is None else config.factor_shape}")
+    return arr
+
+
 def load_alpha(path, config=None):
     meta, arrays = load_container(path, ALPHA_KIND)
     if config is not None:
         check_dims(meta, config)
-    return arrays["alpha"], meta
+    return _factor_array(path, arrays, "alpha", np.float64, config), meta
 
 
 def save_beta(path, beta, config):
@@ -126,9 +172,12 @@ def load_beta(path, config=None):
     meta, arrays = load_container(path, BETA_KIND)
     if config is not None:
         check_dims(meta, config)
-    # BinaryChannelMask validates the per-head alignment invariant
-    return BinaryChannelMask(bits=arrays["bits"], r=int(meta["r"]),
-                             keep_ratio=float(meta["keep_ratio"])), meta
+    bits = _factor_array(path, arrays, "bits", np.uint8, config)
+    try:  # BinaryChannelMask validates the per-head alignment invariant
+        beta = BinaryChannelMask(bits=bits, r=int(meta["r"]), keep_ratio=float(meta["keep_ratio"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise StorageError(f"{path}: bad mask: {e}") from None
+    return beta, meta
 
 
 def save_checkpoint(path, model):
@@ -143,9 +192,12 @@ def save_checkpoint(path, model):
 
 def load_checkpoint(path):
     meta, arrays = load_container(path, CHECKPOINT_KIND)
-    cfg = dict(meta["config"])
-    cfg.pop("d_model", None)  # derived
-    config = ModelConfig(**cfg)
+    try:
+        cfg = dict(meta["config"])
+        cfg.pop("d_model", None)  # derived
+        config = ModelConfig(**cfg)
+    except (KeyError, TypeError, ValueError) as e:
+        raise StorageError(f"{path}: bad model config: {e}") from None
     want = param_shapes(config)
     for name in sorted(set(want) | set(arrays)):
         if name not in arrays:
@@ -155,6 +207,9 @@ def load_checkpoint(path):
         if arrays[name].shape != want[name]:
             raise StorageError(f"{path}: parameter {name!r} has shape {arrays[name].shape}, "
                                f"the config needs {want[name]}")
+        if arrays[name].dtype != np.float64:
+            raise StorageError(f"{path}: parameter {name!r} has dtype {arrays[name].dtype}, "
+                               "not float64")
     params = {k: Tensor(v) for k, v in arrays.items()}
     return ToyTransformer(config, params)
 

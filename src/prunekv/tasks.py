@@ -6,7 +6,7 @@ function of its spec (seed included).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,28 +180,6 @@ def generate(spec):
     return _GENERATORS[spec.kind](spec)
 
 
-def sample_stream(spec, batch=1, kinds=None):
-    """Callable(rng) -> equal-length batch, for the training loops.
-
-    Each call draws a fresh per-sample seed from `rng`; if `kinds` is given,
-    the task kind also rotates through it per call.
-    """
-    kinds = list(kinds) if kinds else [spec.kind]
-    counter = {"i": 0}
-
-    def stream(rng):
-        kind = kinds[counter["i"] % len(kinds)]
-        counter["i"] += 1
-        out = []
-        while len(out) < batch:
-            s = generate(replace(spec, kind=kind, seed=int(rng.integers(2 ** 31))))
-            if not out or len(out[0].tokens) == len(s.tokens):
-                out.append(s)
-        return out
-
-    return stream
-
-
 def score(predicted_tokens, sample):
     """Fraction of gold answer tokens matched in order."""
     gold = sample.ans_tokens
@@ -211,11 +189,3 @@ def score(predicted_tokens, sample):
     hits = sum(1 for i, g in enumerate(gold)
                if i < len(predicted_tokens) and predicted_tokens[i] == g)
     return hits / len(gold)
-
-
-def export_text(sample):
-    """Human-inspectable one-record text form."""
-    return ("ctx=" + " ".join(map(str, sample.ctx_tokens.tolist()))
-            + "\nans=" + " ".join(map(str, sample.ans_tokens.tolist()))
-            + f"\nquery_key={sample.query_key}"
-            + "\ngold=" + " ".join(map(str, sample.gold_values)) + "\n")

@@ -1,4 +1,6 @@
 """Partitioned-cache decoding checks against stateless references."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -51,6 +53,39 @@ def test_np_forward_matches_tensor_forward():
     _, logits = np_forward(toy.weights_numpy(), CFG, tokens)
     rec = forward_full(toy, tokens, 1)
     np.testing.assert_allclose(logits, rec.logits.data, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [1, cache.PREFILL_BLOCK - 1, cache.PREFILL_BLOCK,
+                               cache.PREFILL_BLOCK + 1, 2 * cache.PREFILL_BLOCK + 3])
+def test_blocked_prefill_matches_reference_across_block_edges(t):
+    toy = make_model(3)
+    tokens = np.random.default_rng(t).integers(0, CFG.vocab_size, size=t)
+    layers, logits = np_forward(toy.weights_numpy(), CFG, tokens, want_q=True)
+    want = helpers.reference_forward(toy.weights_numpy(), CFG, tokens)
+    np.testing.assert_allclose(logits, want, rtol=1e-9, atol=1e-10)
+    # want_q hands back the unscaled post-RoPE q, as the Tensor forward records it
+    rec = forward_full(toy, tokens, 1, want_record=True)
+    for (q, k, v), (rq, rk, rv) in zip(layers, rec.layers):
+        for got, ref in [(q, rq), (k, rk), (v, rv)]:
+            np.testing.assert_allclose(got.transpose(1, 0, 2), ref[0], rtol=1e-9, atol=1e-10)
+
+
+def test_prefill_memory_bound_at_max_pos():
+    # one prefill at T = max_pos = 2048 on the default model: the row blocks
+    # keep the score buffer at (n_kv, g, PREFILL_BLOCK, T), about 34 MiB
+    # traced; a full (n_kv, g, T, T) buffer plus a (T, T) mask took 306 MiB
+    c = ModelConfig()
+    toy = ToyTransformer.create(c, seed=0)
+    tokens = np.random.default_rng(0).integers(0, c.vocab_size, size=c.max_pos)
+    w = toy.weights_numpy()
+    tracemalloc.start()
+    try:
+        _, logits = np_forward(w, c, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(logits).all()
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
 
 
 def test_identity_mask_decode_matches_dense():

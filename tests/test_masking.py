@@ -132,8 +132,9 @@ def test_stage1_loss_value_and_shape_error():
 
 def test_stage1_step_memory_bound_at_t1024():
     # one stage-1 step at T=1024 on the default model: the graph covers only
-    # the answer rows (about 84 MiB traced peak, mostly the numpy context
-    # pass's (n_kv, g, T, T) score buffer); a graph over every row took 5.7 GB
+    # the answer rows and the numpy context pass is row-blocked (about 20 MiB
+    # traced peak; 84 MiB with a full (n_kv, g, T, T) context score buffer);
+    # a graph over every row took 5.7 GB
     toy = pm.ToyTransformer.create(pm.ModelConfig(), seed=0)
 
     def stream(rng, seq_len):

@@ -1,9 +1,11 @@
 """Model-level oracles: RoPE, region masks, scaled attention, GQA."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import prunekv.autodiff as ad
-from prunekv import masking, model as pm
+from prunekv import masking, model as pm, tasks
 from prunekv.model import ModelConfig, ToyTransformer, apply_rope, build_masks, rope_angles
 
 import helpers
@@ -17,6 +19,10 @@ def test_config_validation_and_derived():
         ModelConfig(head_dim=7)
     with pytest.raises(ValueError):
         ModelConfig(n_q_heads=6, n_kv_heads=4)
+    for bad in [dict(n_kv_heads=0), dict(n_layers=-1), dict(d_ff=2.5), dict(max_pos="64"),
+                dict(vocab_size=True), dict(rope_base=0.0), dict(rope_base=float("nan"))]:
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be a positive"):
+            ModelConfig(**bad)
     c = ModelConfig()
     assert c.d_model == c.n_q_heads * c.head_dim == 128
     assert c.group_size == 2
@@ -82,7 +88,7 @@ def test_build_masks_hand_example():
 def test_build_masks_partition_causal():
     m = build_masks(n_ctx=20, n_ans=4, sink=3, window=5)
     assert not (m.s_plus_l & m.mid).any()
-    np.testing.assert_array_equal(m.s_plus_l | m.mid, m.causal)
+    np.testing.assert_array_equal(m.s_plus_l | m.mid, np.tril(np.ones((24, 24), dtype=bool)))
     with pytest.raises(ValueError):
         build_masks(n_ctx=6, n_ans=1, sink=4, window=4)
 
@@ -231,13 +237,17 @@ def test_forward_input_validation():
                           build_masks(0, 3, 0, 0))
 
 
+def seeded_stream(spec, batch):
+    """Callable(rng) -> `batch` samples of `spec`, each seeded from `rng`."""
+    return lambda rng: [tasks.generate(replace(spec, seed=int(rng.integers(2 ** 31))))
+                        for _ in range(batch)]
+
+
 def test_pretrain_reduces_loss_and_freezes():
     cfg = ModelConfig(n_layers=1, n_q_heads=2, n_kv_heads=2, head_dim=8,
                       d_ff=32, vocab_size=64, max_pos=64)
     toy = ToyTransformer.create(cfg, seed=10)
-    from prunekv import tasks
-    spec = tasks.TaskSpec(seq_len=24, vocab_size=64)
-    stream = tasks.sample_stream(spec, batch=4)
+    stream = seeded_stream(tasks.TaskSpec(seq_len=24, vocab_size=64), batch=4)
     toy, losses = pm.pretrain(toy, stream, steps=30, lr=3e-3, seed=1)
     assert np.mean(losses[-5:]) < np.mean(losses[:5])
     assert not any(p.requires_grad for p in toy.parameters())
@@ -246,12 +256,11 @@ def test_pretrain_reduces_loss_and_freezes():
 def test_pretrain_determinism():
     cfg = ModelConfig(n_layers=1, n_q_heads=2, n_kv_heads=1, head_dim=4,
                       d_ff=16, vocab_size=32, max_pos=64)
-    from prunekv import tasks
     spec = tasks.TaskSpec(seq_len=16, vocab_size=32)
     out = []
     for _ in range(2):
         toy = ToyTransformer.create(cfg, seed=2)
-        toy, losses = pm.pretrain(toy, tasks.sample_stream(spec, batch=2), 5, 1e-3, seed=3)
+        toy, losses = pm.pretrain(toy, seeded_stream(spec, batch=2), 5, 1e-3, seed=3)
         out.append((losses, toy.params["tok_emb"].data.copy()))
     assert out[0][0] == out[1][0]
     np.testing.assert_array_equal(out[0][1], out[1][1])

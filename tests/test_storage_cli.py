@@ -1,9 +1,11 @@
 """On-disk format round-trips, corruption handling, and CLI behavior."""
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prunekv import cli, storage
 from prunekv.masking import BinaryChannelMask
@@ -49,6 +51,122 @@ def test_container_rejects_corruption(tmp_path):
 
     with pytest.raises(storage.StorageError, match="kind"):
         storage.load_container(path, "alpha")
+
+
+def saved_files(root):
+    """{kind: (file bytes, loader)} for an alpha, a beta and a checkpoint file."""
+    bits = np.zeros(CFG.factor_shape, dtype=np.uint8)
+    bits[..., :4] = 1
+    storage.save_alpha(root / "alpha.pkv", np.linspace(-1, 1, bits.size).reshape(bits.shape), CFG)
+    storage.save_beta(root / "beta.pkv", BinaryChannelMask(bits=bits, r=4, keep_ratio=0.5), CFG)
+    storage.save_checkpoint(root / "checkpoint.pkv", ToyTransformer.create(CFG, seed=2))
+    loaders = {"alpha": lambda p: storage.load_alpha(p, CFG),
+               "beta": lambda p: storage.load_beta(p, CFG),
+               "checkpoint": storage.load_checkpoint}
+    return {kind: ((root / f"{kind}.pkv").read_bytes(), load) for kind, load in loaders.items()}
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    root = tmp_path_factory.mktemp("saved")
+    return root, saved_files(root)
+
+
+def test_truncation_at_every_offset_raises_storage_error(saved):
+    root, files = saved
+    path = root / "cut.pkv"
+    for kind, (raw, load) in files.items():
+        load(root / f"{kind}.pkv")  # the whole file loads
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(storage.StorageError):
+                load(path)
+
+
+def edited(raw, edit):
+    """The file `raw` with its JSON header replaced by `edit(header)`."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.dumps(edit(json.loads(raw[8:8 + hlen]))).encode()
+    return storage.MAGIC + struct.pack("<I", len(header)) + header + raw[8 + hlen:]
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 40, 2 ** 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+SPEC_VALUES = {
+    "name": st.sampled_from(["alpha", "bits", "l0.wq", "lm_head", ""]),
+    "dtype": st.sampled_from(["float64", "uint8", "int64", "float32", "<f8", "foo", "O"]),
+    "shape": st.lists(st.integers(-3, 40), max_size=4),
+    "offset": st.integers(-64, 4096),
+    "nbytes": st.integers(-64, 4096),
+}
+DELETE = object()
+
+
+def set_field(header, where, value):
+    """Set the header field at key path `where` to `value`, or drop it for
+    DELETE; list indices wrap. The empty path replaces the whole header."""
+    if not where:
+        return value
+    def wrap(node, key):
+        return key % len(node) if isinstance(node, list) else key
+
+    *path, last = where
+    parent = header
+    for key in path:
+        parent = parent[wrap(parent, key)]
+    last = wrap(parent, last)
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return header
+
+
+@st.composite
+def header_edits(draw):
+    """(kind, where, value) for `set_field` on a saved file of that kind."""
+    kind = draw(st.sampled_from(["alpha", "beta", "checkpoint"]))
+    spec = ("arrays", draw(st.integers(0, 20)))
+    field = draw(st.sampled_from(sorted(SPEC_VALUES)))
+    where = draw(st.sampled_from([(), ("version",), ("kind",), ("meta",), ("arrays",), spec,
+                                  spec + (field,)]))
+    if not where:
+        return kind, where, draw(JSON)
+    return kind, where, draw(st.just(DELETE) | JSON | SPEC_VALUES.get(where[-1], JSON))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(header_edits())
+def test_corrupt_headers_raise_only_storage_error(saved, kind_where_value):
+    root, files = saved
+    kind, where, value = kind_where_value
+    raw, load = files[kind]
+    path = root / "edited.pkv"
+    path.write_bytes(edited(raw, lambda h: set_field(h, where, value)))
+    try:
+        load(path)  # an edit that keeps the file consistent may load
+    except storage.StorageError:
+        pass
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["arrays"], "not an object with an 'arrays' list"),
+    (lambda h: set_field(h, ("arrays",), DELETE), "'arrays' list"),
+    (lambda h: set_field(h, ("arrays", 0, "dtype"), "foo"), "dtype 'foo'"),
+    (lambda h: set_field(h, ("arrays", 0, "shape"), [3, 3, 3]), "has nbytes"),
+    (lambda h: set_field(h, ("arrays", 0, "offset"), -8), "offset -8"),
+])
+def test_corrupt_header_cases(saved, edit, message):
+    """The five header faults that once raised AttributeError, KeyError,
+    TypeError or a reshape ValueError, or loaded header bytes as data."""
+    root, files = saved
+    path = root / "case.pkv"
+    path.write_bytes(edited(files["alpha"][0], edit))
+    with pytest.raises(storage.StorageError, match=message):
+        storage.load_alpha(path, CFG)
 
 
 def test_alpha_round_trip_and_dims_check(tmp_path):

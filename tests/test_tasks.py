@@ -84,20 +84,6 @@ def test_generators_deterministic():
         assert not np.array_equal(a.tokens, c.tokens)
 
 
-def test_sample_stream_equal_lengths_and_rotation():
-    spec = TaskSpec(seq_len=64, seed=0)
-    stream = tasks.sample_stream(spec, batch=3, kinds=[tasks.DENSE_RETRIEVAL, tasks.MULTI_VALUE])
-    rng = np.random.default_rng(5)
-    b1 = stream(rng)
-    b2 = stream(rng)
-    assert len(b1) == 3
-    assert len({len(s.tokens) for s in b1}) == 1
-    # dense pairs have no filler tokens, multi-value batches do
-    r = TokenRanges.for_vocab(spec.vocab_size)
-    assert not any(tok in r.filler for tok in b1[0].ctx_tokens)
-    assert any(tok in r.filler for tok in b2[0].ctx_tokens)
-
-
 def test_score_counts_in_order():
     s = tasks.generate(TaskSpec(kind=tasks.MULTI_VALUE, seq_len=96, values_per_key=2, seed=3))
     gold = s.ans_tokens
@@ -105,13 +91,6 @@ def test_score_counts_in_order():
     assert tasks.score(gold[::-1], s) in (0.0, 1.0)  # only 1.0 if palindromic
     assert tasks.score([gold[0], -1], s) == 0.5
     assert tasks.score([], s) == 0.0
-
-
-def test_export_text_round_trippable():
-    s = tasks.generate(TaskSpec(seq_len=32, seed=1))
-    text = tasks.export_text(s)
-    assert f"query_key={s.query_key}" in text
-    assert text.startswith("ctx=")
 
 
 def test_copy_repeat_structure():
