@@ -3,7 +3,8 @@
 Just enough machinery to backpropagate a distillation loss through a small
 transformer: broadcasting elementwise ops, batched matmul, fused attention /
 normalization primitives, an Adam optimizer, and a finite-difference oracle.
-All arithmetic is 64-bit.
+All arithmetic is 64-bit. A backward closure computes an operand's gradient
+only if that operand requires one.
 """
 from __future__ import annotations
 
@@ -75,8 +76,11 @@ class Tensor:
     def backward(self):
         """Backpropagate from a scalar loss.
 
-        Populates ``.grad`` on every tensor in the graph and returns a map
-        from ``id(leaf)`` to the gradient array of each requires-grad leaf.
+        Accumulates into ``.grad`` of every requires-grad leaf and returns a
+        map from ``id(leaf)`` to each such leaf's gradient array. An interior
+        node's ``.grad`` is dropped (set to None) as soon as the node has
+        passed it on to its parents, so only one layer's gradients are alive
+        at a time.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -99,6 +103,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
         return {id(t): t.grad for t in topo if t.requires_grad and not t._parents}
 
     # operator sugar; implementations below
@@ -165,8 +170,8 @@ def _node(data, parents, backward_fn):
 
 
 def _accum(t, g):
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+    """Add `g` to ``t.grad``; callers skip operands that need no gradient."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def add(a, b):
@@ -174,8 +179,10 @@ def add(a, b):
     _check_broadcast(a.shape, b.shape)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _node(a.data + b.data, (a, b), bwd)
 
@@ -185,8 +192,10 @@ def sub(a, b):
     _check_broadcast(a.shape, b.shape)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _node(a.data - b.data, (a, b), bwd)
 
@@ -196,8 +205,10 @@ def mul(a, b):
     _check_broadcast(a.shape, b.shape)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
 
@@ -207,8 +218,10 @@ def div(a, b):
     _check_broadcast(a.shape, b.shape)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(a.data / b.data, (a, b), bwd)
 
@@ -220,12 +233,32 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}")
     _check_broadcast(a.shape[:-2], b.shape[:-2])
+    if b.ndim == 2:
+        return _matmul_2d(a, b)
 
     def bwd(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _node(a.data @ b.data, (a, b), bwd)
+
+
+def _matmul_2d(a, b):
+    """(..., k) @ (k, n): the forward and a's gradient are one 2-D GEMM over
+    all leading rows; b's gradient is batched and then summed, as in the
+    general case, which keeps its float sums in the same order."""
+    k, n = b.shape
+    lead = a.shape[:-1]
+
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, (g.reshape(-1, n) @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return _node((a.data.reshape(-1, k) @ b.data).reshape(*lead, n), (a, b), bwd)
 
 
 def transpose(a, axes):
@@ -255,7 +288,8 @@ def concat(parts, axis):
 
     def bwd(g):
         for p, gp in zip(parts, np.split(g, ends, axis=axis)):
-            _accum(p, gp)
+            if p.requires_grad:
+                _accum(p, gp)
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
 
@@ -366,6 +400,43 @@ def softmax(a, additive_mask=None, axis=-1):
     return _node(p, (a,), bwd)
 
 
+def attention(q, k, v, scale, additive_mask):
+    """softmax(q @ kᵀ * scale + additive_mask) @ v as one node.
+
+    q is (..., g, Tq, d); k and v are (..., 1, Tk, d), each shared by the g
+    query heads of its group. The scores come from a scaled copy of q and are
+    softmaxed in place: the probabilities, (..., g, Tq, Tk), are the only
+    score-sized array the node keeps. The product with v and the q gradient
+    run the g heads as rows of one matmul; the k and v gradients are computed
+    per head and then summed over g.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    *lead, g, tq, d = q.shape
+    if k.shape[:-2] != (*lead, 1) or k.shape[-1] != d or v.shape != k.shape:
+        raise ShapeError(f"attention got q {q.shape}, k {k.shape}, v {v.shape}")
+    tk = k.shape[-2]
+    rows = (*lead, g * tq)
+    k2, v2 = k.data[..., 0, :, :], v.data[..., 0, :, :]
+    p = ((q.data * scale).reshape(*rows, d) @ np.swapaxes(k2, -1, -2)).reshape(*lead, g, tq, tk)
+    p += additive_mask
+    softmax_(p)
+
+    def bwd(grad):
+        ds = (grad.reshape(*rows, d) @ np.swapaxes(v2, -1, -2)).reshape(p.shape)
+        if v.requires_grad:
+            _accum(v, (np.swapaxes(p, -1, -2) @ grad).sum(axis=-3, keepdims=True))
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        if q.requires_grad:
+            _accum(q, (ds.reshape(*rows, tk) @ k2).reshape(q.shape))
+        if k.requires_grad:
+            dkt = (np.swapaxes(q.data, -1, -2) @ ds).sum(axis=-3, keepdims=True)
+            _accum(k, np.swapaxes(dkt, -1, -2))
+
+    return _node((p.reshape(*rows, tk) @ v2).reshape(q.shape), (q, k, v), bwd)
+
+
 def rms_norm(x, weight, eps=1e-6):
     """RMS-normalize over the last axis, then scale elementwise by `weight`."""
     x, weight = _lift(x), _lift(weight)
@@ -373,9 +444,12 @@ def rms_norm(x, weight, eps=1e-6):
     out_data, inv = rms_norm_fwd(x.data, weight.data, eps)
 
     def bwd(g):
-        gw_x = g * weight.data
-        _accum(x, gw_x * inv - x.data * (inv ** 3 / n) * (gw_x * x.data).sum(axis=-1, keepdims=True))
-        _accum(weight, _unbroadcast(g * x.data * inv, weight.shape))
+        if x.requires_grad:
+            gw_x = g * weight.data
+            dot = (gw_x * x.data).sum(axis=-1, keepdims=True)
+            _accum(x, gw_x * inv - x.data * (inv ** 3 / n) * dot)
+        if weight.requires_grad:
+            _accum(weight, _unbroadcast(g * x.data * inv, weight.shape))
 
     return _node(out_data, (x, weight), bwd)
 
@@ -458,36 +532,9 @@ def finite_difference_gradient(f, x, eps=1e-5):
     return grad
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update with bias correction. Purely functional.
-
-    `params` and `grads` are lists of ndarrays; `state` is None on the first
-    call or the dict returned by the previous one.
-    """
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    if state is None:
-        state = {"t": 0, "m": [np.zeros_like(p) for p in params],
-                 "v": [np.zeros_like(p) for p in params]}
-    if len(params) != len(grads) or len(params) != len(state["m"]):
-        raise ShapeError("params/grads/state length mismatch")
-    t = state["t"] + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        if p.shape != g.shape:
-            raise ShapeError(f"param shape {p.shape} != grad shape {g.shape}")
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, {"t": t, "m": new_m, "v": new_v}
-
-
 class Adam:
-    """In-place Adam over a list of Tensors, built on `adam_step`."""
+    """Adam with bias correction over a list of Tensors; the moment buffers
+    are updated in place and each parameter's ``.data`` is replaced."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
@@ -495,14 +542,26 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.state = None
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        """One update from each parameter's ``.grad``; a missing grad counts as zero."""
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        new, self.state = adam_step([p.data for p in self.params], grads, self.state,
-                                    self.lr, self.beta1, self.beta2, self.eps)
-        for p, d in zip(self.params, new):
-            p.data = d
+        for p, g in zip(self.params, grads):
+            if p.shape != g.shape:
+                raise ShapeError(f"param shape {p.shape} != grad shape {g.shape}")
+        b1, b2 = self.beta1, self.beta2
+        self.t += 1
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self):
         for p in self.params:

@@ -210,7 +210,7 @@ def _forward(model, tokens, n_ans, want_record=False):
     def attend(i, q, k, v):
         if want_record:
             layers.append(tuple(a.data.reshape(bsz, -1, t, c.head_dim) for a in (q, k, v)))
-        return ad.softmax((q @ k.transpose(0, 1, 2, 4, 3)) * scale, additive_mask=additive) @ v
+        return ad.attention(q, k, v, scale, additive)
 
     h_final = _layers(p, c, ad.embedding(p["tok_emb"], tokens), cos, sin, attend)
     logits_out = h_final @ p["lm_head"]
@@ -302,6 +302,26 @@ def forward_scaled(model, tokens, n_ans, factors, masks):
     return ForwardRecord(h_last=h_last, logits=None, n_ans=n_ans, layers=[])
 
 
+def _pretrain_step(model, opt, batch, step):
+    """One optimizer step on `batch`; returns the loss. The step's graph is
+    released on return, before the next step's forward."""
+    tokens = np.stack([np.concatenate([s.ctx_tokens, s.ans_tokens]) for s in batch])
+    n_ans = len(batch[0].ans_tokens)
+    n_ctx = tokens.shape[1] - n_ans
+    rec = _forward(model, tokens, n_ans)
+    # position i predicts token i+1: answer tokens are predicted from rows
+    # n_ctx-1 .. n_ctx+n_ans-2
+    pred_rows = rec.logits[:, n_ctx - 1:tokens.shape[1] - 1, :]
+    flat = pred_rows.reshape(len(batch) * n_ans, model.config.vocab_size)
+    loss = ad.cross_entropy(flat, tokens[:, n_ctx:].reshape(-1))
+    if not np.isfinite(loss.data):
+        raise ad.DivergenceError(step, float(loss.data))
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return float(loss.data)
+
+
 def pretrain(model, task_stream, steps, lr, seed=0, log=None):
     """Cross-entropy next-token training on answer tokens only.
 
@@ -315,23 +335,7 @@ def pretrain(model, task_stream, steps, lr, seed=0, log=None):
     opt = ad.Adam(model.parameters(), lr=lr)
     losses = []
     for step in range(steps):
-        batch = task_stream(rng)
-        tokens = np.stack([np.concatenate([s.ctx_tokens, s.ans_tokens]) for s in batch])
-        n_ans = len(batch[0].ans_tokens)
-        n_ctx = tokens.shape[1] - n_ans
-        rec = _forward(model, tokens, n_ans)
-        # position i predicts token i+1: answer tokens are predicted from rows
-        # n_ctx-1 .. n_ctx+n_ans-2
-        pred_rows = rec.logits[:, n_ctx - 1:tokens.shape[1] - 1, :]
-        flat = pred_rows.reshape(len(batch) * n_ans, model.config.vocab_size)
-        targets = tokens[:, n_ctx:].reshape(-1)
-        loss = ad.cross_entropy(flat, targets)
-        if not np.isfinite(loss.data):
-            raise ad.DivergenceError(step, float(loss.data))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
+        losses.append(_pretrain_step(model, opt, task_stream(rng), step))
         if log is not None:
             log(step, losses[-1])
     model.set_trainable(False)

@@ -174,10 +174,93 @@ def test_deep_graph_and_reuse():
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0, rtol=1e-12)
 
 
+def unfused_attention(q, k, v, scale, mask):
+    return ad.softmax((q @ k.transpose(0, 1, 2, 4, 3)) * scale, additive_mask=mask) @ v
+
+
+def attention_case(rng, d, bsz=2, n_kv=2, g=2, t=9):
+    q = rng.normal(size=(bsz, n_kv, g, t, d))
+    k, v = rng.normal(size=(2, bsz, n_kv, 1, t, d))
+    mask = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, ad.MASK_NEG)
+    return q, k, v, mask, rng.normal(size=q.shape)
+
+
+def attention_grads(op, q0, k0, v0, scale, mask, w):
+    q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
+    out = op(q, k, v, scale, mask)
+    ad.tsum(out * w).backward()
+    return out.data, q.grad, k.grad, v.grad
+
+
+@pytest.mark.parametrize("d, tol", [(16, 0.0), (8, 1e-12)])
+def test_attention_matches_unfused_composition(d, tol):
+    # at d=16 the scale 1/4 is a power of two, so scaling q before the
+    # product rounds exactly as scaling the scores after it
+    q, k, v, mask, w = attention_case(np.random.default_rng(d), d)
+    scale = 1.0 / np.sqrt(d)
+    got = attention_grads(ad.attention, q, k, v, scale, mask, w)
+    want = attention_grads(unfused_attention, q, k, v, scale, mask, w)
+    for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+        assert a.shape == b.shape, name
+        if tol == 0.0:
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        else:
+            np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+
+def test_attention_grad_finite_differences():
+    q0, k0, v0, mask, w = attention_case(np.random.default_rng(3), d=4, t=5)
+    scale = 0.5
+    parts = {"q": q0, "k": k0, "v": v0}
+    for name in parts:
+        def loss(x, name=name):
+            args = {n: (x if n == name else Tensor(a)) for n, a in parts.items()}
+            return ad.tsum(ad.attention(args["q"], args["k"], args["v"], scale, mask) * w)
+        fd_check(loss, parts[name])
+
+
+def test_matmul_2d_right_operand_matches_batched_form():
+    rng = np.random.default_rng(5)
+    a0, b0, w = rng.normal(size=(3, 7, 6)), rng.normal(size=(6, 5)), rng.normal(size=(3, 7, 5))
+    outs = []
+    for b_shape in ((6, 5), (1, 6, 5)):  # the 2-D path, then the batched one
+        a = Tensor(a0.copy(), requires_grad=True)
+        b = Tensor(b0.reshape(b_shape), requires_grad=True)
+        out = a @ b
+        ad.tsum(out * w).backward()
+        outs.append((out.data, a.grad, b.grad.reshape(6, 5)))
+    for x, y in zip(*outs):
+        np.testing.assert_array_equal(x, y)
+    fd_check(lambda x: ad.sum_squares(x @ b0), a0)
+    fd_check(lambda x: ad.sum_squares(Tensor(a0) @ x), b0)
+
+
+def test_constant_operands_get_no_grad():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(2, 1, 3, 4)), requires_grad=True)
+    shapes = ((4, 4), (2, 1, 4, 4), (4,), (4,), (2, 1, 3, 4), (2, 1, 3, 4), (2, 1, 3, 4))
+    consts = [Tensor(rng.normal(size=s)) for s in shapes]
+    w2, w3, norm_w, scale, other, k, v = consts
+    y = ad.rms_norm(x @ w2, norm_w) @ w3
+    y = ad.concat([y * scale + other, other - y, y / (other * other + 1.0)], axis=2)
+    y = ad.attention(y, k, v, 0.5, 0.0)
+    ad.sum_squares(y).backward()
+    assert x.grad is not None
+    assert all(c.grad is None for c in consts)
+
+
 def test_backward_returns_leaf_map():
-    x = Tensor(np.ones(3), requires_grad=True)
-    leaves = ad.tsum(x * 2.0).backward()
-    np.testing.assert_array_equal(leaves[id(x)], np.full(3, 2.0))
+    # interior grads are dropped once passed on; leaves keep theirs
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    h = x * w
+    y = h + x
+    loss = ad.tsum(y)
+    leaves = loss.backward()
+    assert h.grad is None and y.grad is None and loss.grad is None
+    np.testing.assert_array_equal(leaves[id(x)], [4.0, 0.0])
+    np.testing.assert_array_equal(leaves[id(w)], [1.0, 2.0])
+    assert leaves[id(x)] is x.grad and leaves[id(w)] is w.grad
 
 
 def test_backward_requires_scalar():
@@ -191,42 +274,46 @@ def test_shape_errors():
         Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4, 5)))
     with pytest.raises(ad.ShapeError):
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 5)))
+    with pytest.raises(ad.ShapeError):  # k must have a single head per group
+        ad.attention(np.zeros((2, 2, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((2, 2, 3, 4)),
+                     0.5, 0.0)
 
 
 def test_adam_first_step_hand_computed():
     p0 = np.array([1.0, -2.0])
     g = np.array([0.5, -0.25])
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    new, state = ad.adam_step([p0], [g], None, lr, b1, b2, eps)
+    p = Tensor(p0.copy(), requires_grad=True)
+    opt = ad.Adam([p], lr, b1, b2, eps)
+    p.grad = g.copy()
+    opt.step()
     # after bias correction the first step is p - lr * g / (|g| + eps)
     want = p0 - lr * g / (np.abs(g) + eps)
-    np.testing.assert_allclose(new[0], want, rtol=1e-12)
-    assert state["t"] == 1
+    np.testing.assert_allclose(p.data, want, rtol=1e-12)
+    assert opt.t == 1
     # second step, recomputed by hand
-    new2, state2 = ad.adam_step(new, [g], state, lr, b1, b2, eps)
+    new = p.data.copy()
+    opt.step()
     m = (b1 * (1 - b1) * g + (1 - b1) * g) / (1 - b1 ** 2)
     v = (b2 * (1 - b2) * g * g + (1 - b2) * g * g) / (1 - b2 ** 2)
-    np.testing.assert_allclose(new2[0], new[0] - lr * m / (np.sqrt(v) + eps), rtol=1e-12)
-    assert state2["t"] == 2
+    np.testing.assert_allclose(p.data, new - lr * m / (np.sqrt(v) + eps), rtol=1e-12)
+    assert opt.t == 2
 
 
 def test_adam_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        ad.adam_step([np.ones(2)], [np.ones(2)], None, lr=0.0)
-    with pytest.raises(ad.ShapeError):
-        ad.adam_step([np.ones(2)], [np.ones(3)], None, lr=0.1)
+        ad.Adam([Tensor(np.ones(2), requires_grad=True)], lr=0.0)
     with pytest.raises(ValueError):
         ad.Adam([Tensor(np.ones(2), requires_grad=True)], lr=-1.0)
-
-
-def test_adam_class_matches_functional():
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    opt = ad.Adam([p], lr=0.05)
-    ad.sum_squares(p).backward()
-    g = p.grad.copy()
-    opt.step()
-    want, _ = ad.adam_step([np.array([1.0, 2.0])], [g], None, 0.05)
-    np.testing.assert_allclose(p.data, want[0], rtol=1e-12)
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=True)
+    opt = ad.Adam([a, b], lr=0.1)
+    a.grad, b.grad = np.ones(2), np.ones(3)
+    with pytest.raises(ad.ShapeError):
+        opt.step()
+    # the bad grad is found before any parameter moves
+    np.testing.assert_array_equal(a.data, np.ones(2))
+    assert opt.t == 0
 
 
 def test_adam_converges_on_quadratic():
