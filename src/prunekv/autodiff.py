@@ -357,7 +357,7 @@ def softmax_(z, axis=-1):
 
 def rms_norm_fwd(x, w, eps=1e-6):
     """(x / RMS(x) * w over the last axis, 1 / RMS(x) with that axis kept)."""
-    inv = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
     return x * inv * w, inv
 
 

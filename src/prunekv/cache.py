@@ -4,8 +4,11 @@
 only in the attention step. Keys below `sink` and in the last `window`
 positions are used full width, all others through their head's kept
 channels; keys leaving the window are migrated to pruned stores in batches,
-a pure storage event. Heads with zero kept channels are streaming heads:
-their middle K and V are dropped and they attend only to sink + window.
+a pure storage event. Each layer packs its pruned middle into one
+channel-major K store holding every head's kept channels and one V store,
+so a decode step scores and reads the middle of all heads with one matmul
+each. Heads with zero kept channels are streaming heads: their middle K and
+V are dropped and they attend only to sink + window.
 """
 from __future__ import annotations
 
@@ -90,12 +93,15 @@ def np_forward(weights, config, tokens, want_q=False):
     return layers, logits
 
 
-def _reserve(buf, rows):
-    """`buf` if it has `rows` rows, else a copy with room for twice as many."""
-    if len(buf) >= rows:
+def _reserve(buf, size, axis=0):
+    """`buf` if it holds `size` positions along `axis`, else a copy with room
+    for twice as many."""
+    if buf.shape[axis] >= size:
         return buf
-    grown = np.empty((2 * rows,) + buf.shape[1:])
-    grown[:len(buf)] = buf
+    shape = list(buf.shape)
+    shape[axis] = 2 * size
+    grown = np.empty(shape)
+    grown[(slice(None),) * axis + (slice(buf.shape[axis]),)] = buf
     return grown
 
 
@@ -104,11 +110,14 @@ class PartitionedKVCache:
 
     `k_full[i]`/`v_full[i]` (rows, n_kv, d) hold, in position order, the
     positions below `sink` and every later position not yet migrated: the
-    `pending` ones, then the window. `k_mid[i][j]` (rows, kept) and
-    `v_mid[i][j]` (rows, d) hold head j's `mid_tokens` migrated positions
-    with K pruned to its kept channels; streaming heads keep them empty.
-    Stores grow by doubling, so only their leading rows are live; migration
-    rebuilds the full store without the rows it moved.
+    `pending` ones, then the window. The `mid_tokens` migrated positions are
+    packed into two stores per layer, one column per position in order.
+    `k_mid[i]` (sum_j kept_ij, capacity) is channel-major: one row per
+    (head, kept channel) pair, in head order. `v_mid[i]` (n_kept_heads,
+    capacity, d) has one slab per non-streaming head. Streaming heads add no
+    rows to either. Stores grow by doubling along the position axis, so only
+    their leading positions are live; migration rebuilds the full store
+    without the rows it moved.
     """
 
     def __init__(self, config, beta, sink, window, migrate_every=DEFAULT_MIGRATE_EVERY,
@@ -130,11 +139,33 @@ class PartitionedKVCache:
         self.config, self.sink, self.window, self.migrate_every = config, sink, window, migrate_every
         self.seq_len = 0
         self.mid_tokens = 0  # positions migrated to the pruned stores
-        full = (0, config.n_kv_heads, config.head_dim)
+        n_kv, g, d = config.n_kv_heads, config.group_size, config.head_dim
+        full = (0, n_kv, d)
         self.k_full = [np.empty(full) for _ in range(config.n_layers)]
         self.v_full = [np.empty(full) for _ in range(config.n_layers)]
-        self.k_mid = [[np.empty((0, len(kept))) for kept in row] for row in self.kept_channels]
-        self.v_mid = [[np.empty((0, config.head_dim)) for _ in row] for row in self.kept_channels]
+        self.k_mid, self.v_mid = [], []
+        # per-layer tables, fixed by the mask
+        self._k_gather = []  # flat (head * d + channel) of each k_mid row
+        self._q_scatter = []  # (into a flat block-diagonal q, from a flat q) per k_mid row and g
+        self._channel_mask = []  # (n_kv, 1, d): 1 on kept channels, 0 for streaming heads
+        self._streaming_heads = []
+        self._kept_heads = []  # v_mid's heads; a slice when no head streams, so a view
+        for i, kept in enumerate(self.kept_channels):
+            heads = np.repeat(np.arange(n_kv), [len(c) for c in kept])
+            channels = np.concatenate(kept)
+            q_rows = heads * g + np.arange(g)[:, None]  # (g, rows): the q rows of each row's head
+            self._k_gather.append(heads * d + channels)
+            self._q_scatter.append(((q_rows * len(heads) + np.arange(len(heads))).ravel(),
+                                    (q_rows * d + channels).ravel()))
+            mask = np.zeros((n_kv, 1, d))
+            mask[heads, 0, channels] = 1.0
+            self._channel_mask.append(mask)
+            stream = np.flatnonzero(self.streaming[i])
+            self._streaming_heads.append(stream)
+            self._kept_heads.append(np.flatnonzero(np.logical_not(self.streaming[i]))
+                                    if len(stream) else slice(None))
+            self.k_mid.append(np.empty((len(heads), 0)))
+            self.v_mid.append(np.empty((n_kv - len(stream), 0, d)))
 
     @property
     def pending(self):
@@ -158,31 +189,39 @@ class PartitionedKVCache:
         Stores its k, v, then scores every key by position: full width in
         the sink and window, through the head's kept channels in the middle
         (migrated or pending), and not at all in the middle for streaming
-        heads.
+        heads. Every head goes through each numpy call at once: pending keys
+        are scored with q * mask, since (q * m) . k = q[kept] . k[kept], and
+        the migrated middle by one GEMM of a block-diagonal q, whose row for
+        a q head holds its kept channels under its KV head's k_mid rows.
         """
         c = self.config
-        g, d = c.group_size, c.head_dim
+        n_kv, n_q, d = c.n_kv_heads, c.n_q_heads, c.head_dim
         mid, n = self.mid_tokens, self.seq_len - self.mid_tokens
         lo, hi = self.sink, self.sink + self.pending  # full-store rows [lo, hi) are pending
         kf = self.k_full[i] = _reserve(self.k_full[i], n)
         vf = self.v_full[i] = _reserve(self.v_full[i], n)
         kf[n - 1], vf[n - 1] = k[0], v[0]
-        qh = q[0].reshape(c.n_kv_heads, g, d)
-        s = np.empty((c.n_kv_heads, g, mid + n))  # columns: migrated middle, then full store
+        qh = q[0].reshape(n_kv, c.group_size, d) * (1.0 / np.sqrt(d))
+        s = np.empty((n_kv, c.group_size, mid + n))  # columns: migrated middle, then full store
         np.matmul(qh, kf[:n].transpose(1, 2, 0), out=s[..., mid:])
-        for j, kept in enumerate(self.kept_channels[i]):
-            if self.streaming[i][j]:
-                s[j, :, :mid] = s[j, :, mid + lo:mid + hi] = -np.inf
-            else:
-                qk = qh[j][:, kept]
-                np.matmul(qk, self.k_mid[i][j][:mid].T, out=s[j, :, :mid])
-                np.matmul(qk, kf[lo:hi, j][:, kept].T, out=s[j, :, mid + lo:mid + hi])
-        s *= 1.0 / np.sqrt(d)
+        if hi > lo:
+            np.matmul(qh * self._channel_mask[i], kf[lo:hi].transpose(1, 2, 0),
+                      out=s[..., mid + lo:mid + hi])
+        if mid:
+            rows = len(self._k_gather[i])
+            into, frm = self._q_scatter[i]
+            q_bd = np.zeros(n_q * rows)
+            q_bd[into] = qh.ravel()[frm]
+            np.matmul(q_bd.reshape(n_q, rows), self.k_mid[i][:, :mid],
+                      out=s.reshape(n_q, mid + n)[:, :mid])
+        stream = self._streaming_heads[i]
+        if len(stream):
+            s[stream, :, :mid] = s[stream, :, mid + lo:mid + hi] = -np.inf
         ad.softmax_(s)
         out = s[..., mid:] @ vf[:n].transpose(1, 0, 2)  # (n_kv, g, d)
-        for j, stream in enumerate(self.streaming[i]):
-            if not stream:
-                out[j] += s[j, :, :mid] @ self.v_mid[i][j][:mid]
+        if mid and len(self.v_mid[i]):
+            kept = self._kept_heads[i]
+            out[kept] += s[kept, :, :mid] @ self.v_mid[i][:, :mid]
         return out.reshape(1, -1)
 
 
@@ -214,12 +253,10 @@ def _migrate(cache, n):
     lo, mid, rows = cache.sink, cache.mid_tokens, cache.seq_len - cache.mid_tokens
     for i in range(cache.config.n_layers):
         kf, vf = cache.k_full[i], cache.v_full[i]
-        for j, kept in enumerate(cache.kept_channels[i]):
-            if not cache.streaming[i][j]:
-                km = cache.k_mid[i][j] = _reserve(cache.k_mid[i][j], mid + n)
-                vm = cache.v_mid[i][j] = _reserve(cache.v_mid[i][j], mid + n)
-                km[mid:mid + n] = kf[lo:lo + n, j][:, kept]
-                vm[mid:mid + n] = vf[lo:lo + n, j]
+        km = cache.k_mid[i] = _reserve(cache.k_mid[i], mid + n, axis=1)
+        vm = cache.v_mid[i] = _reserve(cache.v_mid[i], mid + n, axis=1)
+        km[:, mid:mid + n] = kf[lo:lo + n].reshape(n, -1)[:, cache._k_gather[i]].T
+        vm[:, mid:mid + n] = vf[lo:lo + n, cache._kept_heads[i]].transpose(1, 0, 2)
         cache.k_full[i] = np.concatenate([kf[:lo], kf[lo + n:rows]])  # compact: no dead rows
         cache.v_full[i] = np.concatenate([vf[:lo], vf[lo + n:rows]])
     cache.mid_tokens += n
@@ -257,6 +294,10 @@ def greedy_decode(model, tokens, n_new, beta, sink, window,
     """
     if n_new < 0:
         raise ValueError(f"n_new must be >= 0, got {n_new}")
+    total = len(tokens) + (0 if question is None else len(question)) + n_new
+    if total > model.config.max_pos:
+        raise ValueError(f"prompt, question and n_new need {total} positions, "
+                         f"more than max_pos {model.config.max_pos}")
     cache, last_logits = prefill_and_partition(model, beta, tokens, sink, window,
                                                migrate_every, forced_streaming)
     out, logit_trace = [], []
@@ -289,6 +330,9 @@ class MemoryReport:
 def memory_report(beta, config, seq_len, sink, window,
                   bytes_per_element=DEFAULT_BYTES_PER_ELEMENT):
     """Cache footprint of the pruned layout vs a full-width baseline."""
+    if seq_len < 1 or bytes_per_element < 1:
+        raise ValueError(f"need seq_len >= 1 and bytes_per_element >= 1, "
+                         f"got {seq_len} and {bytes_per_element}")
     c = config
     d = c.head_dim
     counts = beta.kept_counts()

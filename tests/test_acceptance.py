@@ -242,6 +242,7 @@ def test_criterion_06_memory_accounting(announce):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_pipeline_accuracy_ordering(announce, pipeline):
     full, accs, chosen = pipeline["full_acc"], pipeline["learned_acc"], pipeline["chosen"]
     if chosen is None:
@@ -258,6 +259,7 @@ def test_criterion_07_pipeline_accuracy_ordering(announce, pipeline):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_stage2_refinement_not_worse(announce, pipeline):
     chosen = pipeline["chosen"]
     assert chosen is not None
@@ -269,6 +271,7 @@ def test_criterion_08_stage2_refinement_not_worse(announce, pipeline):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_09_staticity_report(announce, pipeline):
     toy = pipeline["toy"]
     cfg = pipeline_config(PRUNE_GRID[0])

@@ -38,13 +38,16 @@ def assert_stores_hold(kv, toy, seq):
     full = np.r_[0:min(sink, t), sink + mid:t]
     np.testing.assert_allclose(kv.k_full[0][:len(full)], k[full], atol=1e-12)
     np.testing.assert_allclose(kv.v_full[0][:len(full)], v[full], atol=1e-12)
-    for j, kept in enumerate(kv.kept_channels[0]):
-        if kv.streaming[0][j]:
-            assert len(kv.k_mid[0][j]) == len(kv.v_mid[0][j]) == 0
-        else:
-            np.testing.assert_allclose(kv.k_mid[0][j][:mid], k[sink:sink + mid, j][:, kept],
-                                       atol=1e-12)
-            np.testing.assert_allclose(kv.v_mid[0][j][:mid], v[sink:sink + mid, j], atol=1e-12)
+    # packed middle: k_mid rows are (head, kept channel) pairs in head order,
+    # v_mid slabs the non-streaming heads; streaming heads have no rows
+    kept = kv.kept_channels[0]
+    heads = np.repeat(np.arange(CFG.n_kv_heads), [len(c) for c in kept])
+    channels, kept_heads = np.concatenate(kept), np.flatnonzero(np.logical_not(kv.streaming[0]))
+    assert kv.k_mid[0].shape[0] == len(heads) and kv.v_mid[0].shape[0] == len(kept_heads)
+    np.testing.assert_allclose(kv.k_mid[0][:, :mid], k[sink:sink + mid, heads, channels].T,
+                               atol=1e-12)
+    np.testing.assert_allclose(kv.v_mid[0][:, :mid],
+                               v[sink:sink + mid, kept_heads].transpose(1, 0, 2), atol=1e-12)
 
 
 def test_np_forward_matches_tensor_forward():
@@ -211,10 +214,12 @@ def test_prefill_partition_counts():
     kv, logits = prefill_and_partition(toy, beta, prompt, sink=4, window=8)
     assert logits.shape == (CFG.vocab_size,)
     assert kv.mid_tokens == 40 - 4 - 8 and kv.pending == 0
+    counts = beta.kept_counts()
     for i in range(CFG.n_layers):
-        for j, kept in enumerate(kv.kept_channels[i]):
-            assert kv.k_mid[i][j].shape[1] == len(kept) == beta.kept_counts()[i, j]
-            assert kv.v_mid[i][j].shape[1] == CFG.head_dim
+        assert [len(kept) for kept in kv.kept_channels[i]] == counts[i].tolist()
+        assert kv.k_mid[i].shape[0] == counts[i].sum()
+        assert kv.v_mid[i].shape[0] == (counts[i] > 0).sum()
+        assert kv.v_mid[i].shape[2] == CFG.head_dim
     assert_stores_hold(kv, toy, prompt)  # the first 28 rows of each middle store
 
 
@@ -311,6 +316,59 @@ def test_memory_report_consistent_with_stored_cache():
     rep = memory_report(beta, CFG, kv.seq_len, 4, 8, bytes_per_element=2)
     assert kv.stored_k_elements() * 2 == rep.bytes_k_pruned
     assert kv.stored_v_elements() * 2 == rep.bytes_v_pruned
+
+
+@pytest.mark.parametrize("forced", [[], [(1, 0)]])
+def test_live_store_elements_equal_stored_counts(forced):
+    """`stored_k_elements`/`stored_v_elements`, which the memory claims rest
+    on, count exactly the live elements of the four stores, before and after
+    migrations. Layer 0 has a head keeping all d channels and one keeping 2;
+    layer 1 has a streaming head, and with `forced` every head streams."""
+    toy = make_model(12)
+    bits = np.zeros(CFG.factor_shape, dtype=np.uint8)
+    bits[0, 0] = 1
+    bits[0, 1, :2] = 1
+    bits[1, 0, ::2] = 1
+    beta = BinaryChannelMask(bits=bits, r=1, keep_ratio=0.5)
+    prompt = np.random.default_rng(12).integers(0, CFG.vocab_size, size=20)
+    kv, logits = prefill_and_partition(toy, beta, prompt, sink=2, window=3, migrate_every=4,
+                                       forced_streaming=forced)
+    assert sum(kv.streaming[1]) == 1 + len(forced)
+
+    def live(stores_full, stores_mid):
+        rows, mid = kv.seq_len - kv.mid_tokens, kv.mid_tokens
+        return sum(f[:rows].size + m[:, :mid].size for f, m in zip(stores_full, stores_mid))
+
+    mids = set()
+    for step in range(10):
+        assert live(kv.k_full, kv.k_mid) == kv.stored_k_elements()
+        assert live(kv.v_full, kv.v_mid) == kv.stored_v_elements()
+        mids.add((kv.mid_tokens, kv.pending))
+        logits = cache.decode_step(toy, kv, int(np.argmax(logits)))
+    assert len({mid for mid, _ in mids}) >= 3  # prefill's migration and two in decode
+    assert any(pending for _, pending in mids)
+
+
+def test_memory_report_rejects_bad_sizes():
+    ones = BinaryChannelMask.all_ones(CFG.factor_shape)
+    for seq_len in (0, -5):
+        with pytest.raises(ValueError, match="seq_len"):
+            memory_report(ones, CFG, seq_len, 4, 8)
+    for bpe in (0, -2):
+        with pytest.raises(ValueError, match="bytes_per_element"):
+            memory_report(ones, CFG, 16, 4, 8, bytes_per_element=bpe)
+
+
+def test_greedy_decode_checks_length_before_work(monkeypatch):
+    toy = make_model(0)
+    ones = BinaryChannelMask.all_ones(CFG.factor_shape)
+    prompt = np.arange(CFG.max_pos - 5) % CFG.vocab_size
+    monkeypatch.setattr(cache, "np_forward", None)  # any prefill would fail with a TypeError
+    with pytest.raises(ValueError, match="max_pos"):
+        greedy_decode(toy, prompt, 4, ones, 4, 8, question=[1, 2])
+    monkeypatch.undo()
+    toks, _, kv = greedy_decode(toy, prompt, 3, ones, 4, 8, question=[1, 2])
+    assert len(toks) == 3 and kv.seq_len == CFG.max_pos  # the last position is usable
 
 
 def test_question_tokens_decode_through_cache():

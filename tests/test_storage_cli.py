@@ -275,6 +275,11 @@ def test_cli_memory_report(tmp_path, capsys):
     assert code == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert 0.0 < out["k_reduction_fraction"] < 1.0
+    for flag, value in [("--seq-len", "0"), ("--seq-len", "-5"), ("--bytes-per-element", "0")]:
+        code = cli.main(["memory-report", str(beta_path), flag, value])
+        assert code == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: need seq_len >= 1") and captured.out == ""
 
 
 def test_cli_errors_return_nonzero(tmp_path, capsys):
@@ -306,6 +311,7 @@ def test_cli_decode_with_explicit_tokens(tmp_path, capsys):
     (["--tokens", "1,2,99"], "token ids must be in [0, 32)"),
     (["--tokens", "1,-5,3"], "token ids must be in [0, 32)"),
     (["--tokens", "1,2,3", "--n-new", "-3"], "n_new must be >= 0"),
+    (["--tokens", "1,2,3", "--n-new", "3000"], "need 3003 positions, more than max_pos 64"),
 ])
 def test_cli_decode_rejects_bad_input(tmp_path, capsys, args, message):
     assert cli.main(decode_setup(tmp_path) + args) == cli.EXIT_ERROR
