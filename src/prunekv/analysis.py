@@ -39,30 +39,36 @@ def record_qk(model, sample):
     return [(q, k) for q, k, _ in layers]
 
 
+def _head_blocks(model, sample, q_window):
+    """(layer, KV head, pooled q (g * q_window, d), k (T, d), ||q k^T||_F) for
+    every KV head; q pools the last `q_window` query rows of the head's group."""
+    c = model.config
+    layers = record_qk(model, sample)
+    t = layers[0][0].shape[0]
+    if q_window > t:
+        raise ValueError(f"query window {q_window} exceeds sequence length {t}")
+    for i, (q, k) in enumerate(layers):
+        qw = q[t - q_window:]  # (w, n_q, d)
+        for j in range(c.n_kv_heads):
+            qj = qw[:, j * c.group_size:(j + 1) * c.group_size].reshape(-1, c.head_dim)
+            kj = k[:, j]
+            yield i, j, qj, kj, np.linalg.norm(qj @ kj.T)
+
+
 def channel_norm_ratios(model, sample, obs_window=DEFAULT_OBS_WINDOW):
     """Frobenius-norm share of each key channel's logit contribution.
 
     Queries are restricted to the last `obs_window` positions; each KV head
     pools the queries of all its group members.
     """
-    c = model.config
-    layers = record_qk(model, sample)
-    t = layers[0][0].shape[0]
-    if obs_window > t:
-        raise ValueError(f"obs_window {obs_window} exceeds sequence length {t}")
-    values = np.zeros(c.factor_shape)
+    values = np.zeros(model.config.factor_shape)
     zero_den = False
-    for i, (q, k) in enumerate(layers):
-        qw = q[t - obs_window:]  # (w, n_q, d)
-        for j in range(c.n_kv_heads):
-            qj = qw[:, j * c.group_size:(j + 1) * c.group_size].reshape(-1, c.head_dim)
-            kj = k[:, j]  # (T, d)
-            den = np.linalg.norm(qj @ kj.T)
-            if den == 0.0:
-                zero_den = True
-                continue
-            # ||q_[ch] k_[ch]^T||_F = ||q_[ch]|| * ||k_[ch]|| for rank-1 outer products
-            values[i, j] = np.linalg.norm(qj, axis=0) * np.linalg.norm(kj, axis=0) / den
+    for i, j, qj, kj, den in _head_blocks(model, sample, obs_window):
+        if den == 0.0:
+            zero_den = True
+            continue
+        # ||q_[ch] k_[ch]^T||_F = ||q_[ch]|| * ||k_[ch]|| for rank-1 outer products
+        values[i, j] = np.linalg.norm(qj, axis=0) * np.linalg.norm(kj, axis=0) / den
     return ChannelNormVector(values=values.reshape(-1), obs_window=obs_window,
                              zero_denominator=zero_den)
 
@@ -163,17 +169,9 @@ def high_freq_ratio(model, sample, high_boundary=None, q_window=1):
     if not 0 < high_boundary < d // 2 + 1:
         raise ValueError(f"high_boundary must be in (0, {d // 2}], got {high_boundary}")
     high = np.concatenate([np.arange(high_boundary), d // 2 + np.arange(high_boundary)])
-    layers = record_qk(model, sample)
-    t = layers[0][0].shape[0]
     w_hf = np.zeros((c.n_layers, c.n_kv_heads))
-    for i, (q, k) in enumerate(layers):
-        qw = q[t - q_window:]
-        for j in range(c.n_kv_heads):
-            qj = qw[:, j * c.group_size:(j + 1) * c.group_size].reshape(-1, d)
-            kj = k[:, j]
-            den = np.linalg.norm(qj @ kj.T)
-            if den == 0.0:
-                continue
+    for i, j, qj, kj, den in _head_blocks(model, sample, q_window):
+        if den != 0.0:
             w_hf[i, j] = np.linalg.norm(qj[:, high] @ kj[:, high].T) / den
     return HeadFreqProfile(w_hf=w_hf, high_boundary=high_boundary)
 

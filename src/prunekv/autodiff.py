@@ -64,15 +64,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Backpropagate from a scalar loss.
 
@@ -125,12 +116,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -148,9 +133,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -211,19 +193,6 @@ def mul(a, b):
             _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
-
-
-def div(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_broadcast(a.shape, b.shape)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(a.data / b.data, (a, b), bwd)
 
 
 def matmul(a, b):
@@ -318,12 +287,6 @@ def tsum(a, axis=None, keepdims=False):
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = _lift(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def l1_norm(a):
     """Sum of absolute values; subgradient at 0 is 0."""
     a = _lift(a)
@@ -345,7 +308,8 @@ def sum_squares(a):
 
 
 # Plain-ndarray kernels. The Tensor ops below take their forward values from
-# them, and the numpy inference pass in `cache` calls them directly.
+# them; `rms_norm`, `silu` and `rope_rotate` return the kernel's result as is
+# when given an ndarray, so one layer body serves Tensors and plain numpy.
 
 def softmax_(z, axis=-1):
     """Softmax along `axis`, normalised in place in `z`, which is returned."""
@@ -439,6 +403,8 @@ def attention(q, k, v, scale, additive_mask):
 
 def rms_norm(x, weight, eps=1e-6):
     """RMS-normalize over the last axis, then scale elementwise by `weight`."""
+    if isinstance(x, np.ndarray):
+        return rms_norm_fwd(x, weight, eps)[0]
     x, weight = _lift(x), _lift(weight)
     n = x.shape[-1]
     out_data, inv = rms_norm_fwd(x.data, weight.data, eps)
@@ -455,6 +421,8 @@ def rms_norm(x, weight, eps=1e-6):
 
 
 def silu(x):
+    if isinstance(x, np.ndarray):
+        return silu_fwd(x)[0]
     x = _lift(x)
     out_data, s = silu_fwd(x.data)
 
@@ -465,7 +433,9 @@ def silu(x):
 
 
 def rope_rotate(x, cos, sin):
-    """Rotate-half RoPE on a Tensor of shape (..., T, d); `cos`/`sin` are (T, d/2)."""
+    """Rotate-half RoPE of x (..., d); `cos`/`sin` broadcast against either half."""
+    if isinstance(x, np.ndarray):
+        return rotate_half(x, cos, sin)
     x = _lift(x)
     d = x.shape[-1]
     if d % 2 != 0:

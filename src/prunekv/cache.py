@@ -1,14 +1,15 @@
 """Deployment-path inference through a partitioned, channel-pruned key cache.
 
-`np_forward` (prefill) and `decode_step` run one numpy layer loop and differ
-only in the attention step. Keys below `sink` and in the last `window`
-positions are used full width, all others through their head's kept
-channels; keys leaving the window are migrated to pruned stores in batches,
-a pure storage event. Each layer packs its pruned middle into one
-channel-major K store holding every head's kept channels and one V store,
-so a decode step scores and reads the middle of all heads with one matmul
-each. Heads with zero kept channels are streaming heads: their middle K and
-V are dropped and they attend only to sink + window.
+`np_forward` (prefill) and `decode_step` run the model's one layer body,
+`model.layers`, on numpy rows and differ only in the attention step. Keys
+below `sink` and in the last `window` positions are used full width, all
+others through their head's kept channels; keys leaving the window are
+migrated to pruned stores in batches, a pure storage event. Each layer
+packs its pruned middle into one channel-major K store holding every head's
+kept channels and one V store, so a decode step scores and reads the middle
+of all heads with one matmul each. Heads with zero kept channels are
+streaming heads: their middle K and V are dropped and they attend only to
+sink + window.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import model as model_mod
 
 DEFAULT_MIGRATE_EVERY = 32
 DEFAULT_BYTES_PER_ELEMENT = 2  # fp16 deployment accounting
@@ -35,28 +37,6 @@ def _check_tokens(tokens, config):
     return tokens
 
 
-def _layer_loop(w, config, tokens, start, attend):
-    """Logits (T, vocab) of `tokens` at positions start, start + 1, ...
-
-    `attend(i, q, k, v)` is layer i's attention: it gets post-RoPE q
-    (T, n_q, d) and k, v (T, n_kv, d) and returns (T, n_q * d).
-    """
-    c = config
-    t, d = len(tokens), c.head_dim
-    cos, sin = ad.rope_angles(d, np.arange(start, start + t), c.rope_base)
-    cos, sin = cos[:, None], sin[:, None]  # broadcast over heads
-    x = w["tok_emb"][tokens]
-    for i in range(c.n_layers):
-        h = ad.rms_norm_fwd(x, w[f"l{i}.attn_norm"])[0]
-        q = ad.rotate_half((h @ w[f"l{i}.wq"]).reshape(t, c.n_q_heads, d), cos, sin)
-        k = ad.rotate_half((h @ w[f"l{i}.wk"]).reshape(t, c.n_kv_heads, d), cos, sin)
-        v = (h @ w[f"l{i}.wv"]).reshape(t, c.n_kv_heads, d)
-        x = x + attend(i, q, k, v) @ w[f"l{i}.wo"]
-        h = ad.rms_norm_fwd(x, w[f"l{i}.ffn_norm"])[0]
-        x = x + (ad.silu_fwd(h @ w[f"l{i}.w_gate"])[0] * (h @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
-    return ad.rms_norm_fwd(x, w["final_norm"])[0] @ w["lm_head"]
-
-
 def np_forward(weights, config, tokens, want_q=False):
     """Plain-numpy causal attention forward over a prompt, row-blocked.
 
@@ -66,7 +46,7 @@ def np_forward(weights, config, tokens, want_q=False):
     [lo, hi) scores only keys [0, hi), which hold every key its rows can
     see, so each block's plain softmax is exact and the score buffer is
     (n_kv, g, PREFILL_BLOCK, hi), not (T, T). Mask learning's context pass
-    (`model.context_kv`) runs it too.
+    (`model.context_kv`) and `analysis.record_qk` run it too.
     """
     c = config
     tokens = np.asarray(tokens)
@@ -89,8 +69,8 @@ def np_forward(weights, config, tokens, want_q=False):
             np.matmul(ad.softmax_(s), vh[:, :, :hi], out=rows[:, :, lo:hi])
         return out.reshape(t, -1)
 
-    logits = _layer_loop(weights, c, tokens, 0, attend)
-    return layers, logits
+    h = model_mod.layers(weights, c, weights["tok_emb"][tokens], 0, attend)
+    return layers, h @ weights["lm_head"]
 
 
 def _reserve(buf, size, axis=0):
@@ -278,9 +258,10 @@ def decode_step(model, cache, token):
     if cache.seq_len >= c.max_pos:
         raise ValueError(f"position {cache.seq_len} exceeds max_pos {c.max_pos}")
     cache.seq_len += 1
-    logits = _layer_loop(model.weights_numpy(), c, tokens, cache.seq_len - 1, cache._attend)
+    w = model.weights_numpy()
+    h = model_mod.layers(w, c, w["tok_emb"][tokens], cache.seq_len - 1, cache._attend)
     migrate_window(cache)
-    return logits[0]
+    return (h @ w["lm_head"])[0]
 
 
 def greedy_decode(model, tokens, n_new, beta, sink, window,

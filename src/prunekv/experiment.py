@@ -56,7 +56,12 @@ class ExperimentConfig:
         if "seq_len_range" in self.train:
             train = {**self.train, "seq_len_range": tuple(self.train["seq_len_range"])}
             object.__setattr__(self, "train", train)
-        self.model_config()  # reject bad model and train settings on load
+        for name in ("eval_samples", "calib_samples", "pretrain_batch", "migrate_every", "q_window",
+                     "align"):
+            model_mod.check_positive_int(name, getattr(self, name))
+        head_dim = self.model_config().head_dim  # rejects bad model settings on load
+        if self.align > head_dim:
+            raise ValueError(f"align must be at most head_dim {head_dim}, got {self.align}")
         self.train_spec()
 
     @property
@@ -276,12 +281,11 @@ def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None, samples=None):
               "config_hash": cfg.hash(), "eval_kind": cfg.eval_kind,
               "eval_seq_len": cfg.eval_seq_len}
     if eff_beta is not None:
-        stats = masking.mask_stats(eff_beta)
         mem = cache.memory_report(eff_beta, toy.config, cfg.eval_seq_len,
                                   spec.sink, spec.window)
-        report["mask"] = {"keep_fraction": stats.keep_fraction,
-                          "streaming_heads": stats.streaming_heads,
-                          "kept_counts": stats.kept_counts.tolist()}
+        report["mask"] = {"keep_fraction": eff_beta.keep_fraction(),
+                          "streaming_heads": eff_beta.streaming_heads(),
+                          "kept_counts": eff_beta.kept_counts().tolist()}
         report["memory"] = mem.as_dict()
     path = os.path.join(out, f"report_{mode}.json")
     storage.save_json(path, report)

@@ -8,7 +8,7 @@ every step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,19 +80,6 @@ class BinaryChannelMask:
     @classmethod
     def all_ones(cls, shape, r=1):
         return cls(bits=np.ones(shape, dtype=np.uint8), r=r, keep_ratio=1.0)
-
-
-@dataclass
-class MaskStats:
-    kept_counts: np.ndarray
-    streaming_heads: list
-    keep_fraction: float
-
-
-def mask_stats(beta):
-    return MaskStats(kept_counts=beta.kept_counts(),
-                     streaming_heads=beta.streaming_heads(),
-                     keep_fraction=beta.keep_fraction())
 
 
 def round_half_up(x):

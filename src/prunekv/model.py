@@ -5,7 +5,9 @@ learning channel importance, and a pretraining mode so the model actually
 performs retrieval before pruning. Region scaling changes only the answer
 rows (they see the sink + local window full-width and a per-channel-scaled
 middle region), so the scaled pass runs just those rows, through Tensor ops,
-against the keys and values of one plain-numpy context pass.
+against the keys and values of one plain-numpy context pass. One layer body,
+`layers`, runs every pass: pretraining and mask learning on Tensors, prefill
+and decode (`cache`) on ndarrays.
 """
 from __future__ import annotations
 
@@ -17,6 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from . import cache
 from .autodiff import MASK_NEG, Tensor, rope_angles
+
+
+def check_positive_int(name, value):
+    """ValueError naming `name` unless `value` is an int >= 1 (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,9 +41,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "n_q_heads", "n_kv_heads", "head_dim", "d_ff", "vocab_size",
                      "max_pos"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
+            check_positive_int(name, getattr(self, name))
         if not isinstance(self.rope_base, numbers.Real) or not self.rope_base > 0:
             raise ValueError(f"rope_base must be a positive number, got {self.rope_base!r}")
         if self.head_dim % 2 != 0:
@@ -54,12 +60,6 @@ class ModelConfig:
     @property
     def factor_shape(self):
         return (self.n_layers, self.n_kv_heads, self.head_dim)
-
-
-def apply_rope(x, positions, base=10000.0):
-    """Rotate-half RoPE on an ndarray of shape (..., T, head_dim)."""
-    x = np.asarray(x, dtype=np.float64)
-    return ad.rotate_half(x, *rope_angles(x.shape[-1], positions, base))
 
 
 @dataclass
@@ -96,12 +96,11 @@ def param_shapes(config):
     """{name: shape} of every parameter of a model with `config`, in init order."""
     c = config
     d, d_q, d_kv = c.d_model, c.n_q_heads * c.head_dim, c.n_kv_heads * c.head_dim
+    layer = {"attn_norm": (d,), "wq": (d, d_q), "wk": (d, d_kv), "wv": (d, d_kv), "wo": (d_q, d),
+             "ffn_norm": (d,), "w_gate": (d, c.d_ff), "w_up": (d, c.d_ff), "w_down": (c.d_ff, d)}
     shapes = {"tok_emb": (c.vocab_size, d)}
     for i in range(c.n_layers):
-        shapes.update({f"l{i}.attn_norm": (d,), f"l{i}.wq": (d, d_q), f"l{i}.wk": (d, d_kv),
-                       f"l{i}.wv": (d, d_kv), f"l{i}.wo": (d_q, d), f"l{i}.ffn_norm": (d,),
-                       f"l{i}.w_gate": (d, c.d_ff), f"l{i}.w_up": (d, c.d_ff),
-                       f"l{i}.w_down": (c.d_ff, d)})
+        shapes.update({f"l{i}.{name}": shape for name, shape in layer.items()})
     shapes.update({"final_norm": (d,), "lm_head": (d, c.vocab_size)})
     return shapes
 
@@ -146,16 +145,13 @@ class ForwardRecord:
     """Activations from one forward pass.
 
     `h_last` is a Tensor (B, n_ans, d_model) of last-layer hidden states for
-    the answer rows. From `forward_full`, `logits` covers all positions and
-    `layers` holds detached post-RoPE (q, k, v) ndarrays per layer when
-    recording was requested; `forward_scaled` runs only the answer rows and
-    returns `logits` None and `layers` empty.
+    the answer rows. From `forward_full`, `logits` covers all positions;
+    `forward_scaled` runs only the answer rows and returns `logits` None.
     """
 
     h_last: Tensor
     logits: Tensor
     n_ans: int
-    layers: list
 
 
 def _as_batch(config, tokens, n_ans):
@@ -172,53 +168,62 @@ def _as_batch(config, tokens, n_ans):
     return tokens, squeeze
 
 
-def _layers(w, config, x, cos, sin, attend):
-    """Final-norm hidden states of x (B, T, d_model) after every layer.
+def layers(w, config, x, start, attend):
+    """Final-norm hidden states of x (..., T, d_model), the rows at positions
+    start, start + 1, ..., after every layer.
 
-    `w` maps parameter names to Tensors or constant ndarrays. `attend(i, q,
-    k, v)` is layer i's attention: it gets post-RoPE q (B, n_kv, g, T, d)
-    and k, v (B, n_kv, 1, T, d) and returns (B, n_kv, g, T, d).
+    The one layer body of pretraining, mask learning, prefill and decode. `w`
+    maps parameter names to Tensors or ndarrays; with ndarray x and weights
+    every step is plain numpy. `attend(i, q, k, v)` is layer i's attention:
+    it gets post-RoPE q (..., T, n_q, d) and k, v (..., T, n_kv, d) and
+    returns (..., T, n_q * d).
     """
     c = config
-    bsz, t = x.shape[:2]
-    d, g = c.head_dim, c.group_size
+    rows = x.shape[:-1]
+    q_shape, kv_shape = rows + (c.n_q_heads, c.head_dim), rows + (c.n_kv_heads, c.head_dim)
+    cos, sin = rope_angles(c.head_dim, np.arange(start, start + rows[-1]), c.rope_base)
+    cos, sin = cos[:, None], sin[:, None]  # broadcast over heads
     for i in range(c.n_layers):
         h = ad.rms_norm(x, w[f"l{i}.attn_norm"])
-        q = (h @ w[f"l{i}.wq"]).reshape(bsz, t, c.n_q_heads, d).transpose(0, 2, 1, 3)
-        k = (h @ w[f"l{i}.wk"]).reshape(bsz, t, c.n_kv_heads, d).transpose(0, 2, 1, 3)
-        v = (h @ w[f"l{i}.wv"]).reshape(bsz, t, c.n_kv_heads, d).transpose(0, 2, 1, 3)
-        q = ad.rope_rotate(q, cos, sin).reshape(bsz, c.n_kv_heads, g, t, d)
-        k = ad.rope_rotate(k, cos, sin).reshape(bsz, c.n_kv_heads, 1, t, d)
-        out = attend(i, q, k, v.reshape(bsz, c.n_kv_heads, 1, t, d))
-        x = x + out.transpose(0, 3, 1, 2, 4).reshape(bsz, t, c.n_q_heads * d) @ w[f"l{i}.wo"]
-        h2 = ad.rms_norm(x, w[f"l{i}.ffn_norm"])
-        x = x + (ad.silu(h2 @ w[f"l{i}.w_gate"]) * (h2 @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
+        q = ad.rope_rotate((h @ w[f"l{i}.wq"]).reshape(*q_shape), cos, sin)
+        k = ad.rope_rotate((h @ w[f"l{i}.wk"]).reshape(*kv_shape), cos, sin)
+        v = (h @ w[f"l{i}.wv"]).reshape(*kv_shape)
+        x = x + attend(i, q, k, v) @ w[f"l{i}.wo"]
+        h = ad.rms_norm(x, w[f"l{i}.ffn_norm"])
+        x = x + (ad.silu(h @ w[f"l{i}.w_gate"]) * (h @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
     return ad.rms_norm(x, w["final_norm"])
 
 
-def _forward(model, tokens, n_ans, want_record=False):
+def _grouped(config, fn):
+    """A `layers` attend for (B, T, heads, d) rows from `fn(i, q, k, v)`, which
+    gets q (B, n_kv, g, T, d) and k, v (B, n_kv, 1, T, d), views of the rows,
+    and returns q's shape."""
+    c = config
+
+    def attend(i, q, k, v):
+        bsz, t, _, d = q.shape
+        q, k, v = (a.reshape(bsz, t, c.n_kv_heads, -1, d).transpose(0, 2, 3, 1, 4) for a in (q, k, v))
+        return fn(i, q, k, v).transpose(0, 3, 1, 2, 4).reshape(bsz, t, c.n_q_heads * d)
+
+    return attend
+
+
+def _forward(model, tokens, n_ans):
     """Full causal attention over every row, through the model's Tensors."""
     c = model.config
     p = model.params
     tokens, squeeze = _as_batch(c, tokens, n_ans)
-    bsz, t = tokens.shape
-    cos, sin = rope_angles(c.head_dim, np.arange(t), c.rope_base)
+    t = tokens.shape[1]
     additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, MASK_NEG)
     scale = 1.0 / np.sqrt(c.head_dim)
-    layers = []
-
-    def attend(i, q, k, v):
-        if want_record:
-            layers.append(tuple(a.data.reshape(bsz, -1, t, c.head_dim) for a in (q, k, v)))
-        return ad.attention(q, k, v, scale, additive)
-
-    h_final = _layers(p, c, ad.embedding(p["tok_emb"], tokens), cos, sin, attend)
+    attend = _grouped(c, lambda i, q, k, v: ad.attention(q, k, v, scale, additive))
+    h_final = layers(p, c, ad.embedding(p["tok_emb"], tokens), 0, attend)
     logits_out = h_final @ p["lm_head"]
     h_last = h_final[:, t - n_ans:, :]
     if squeeze:
         h_last = h_last.reshape(n_ans, c.d_model)
         logits_out = logits_out.reshape(t, c.vocab_size)
-    return ForwardRecord(h_last=h_last, logits=logits_out, n_ans=n_ans, layers=layers)
+    return ForwardRecord(h_last=h_last, logits=logits_out, n_ans=n_ans)
 
 
 def context_kv(model, tokens, n_ans):
@@ -268,9 +273,7 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
     else:
         f_sl = 1.0 / np.sqrt(d)
     w = model.weights_numpy()
-    pos = np.arange(n_ctx, t)
-    cos, sin = rope_angles(d, pos, c.rope_base)
-    additive = np.where(np.arange(t) <= pos[:, None], 0.0, MASK_NEG)
+    additive = np.where(np.arange(t) <= np.arange(n_ctx, t)[:, None], 0.0, MASK_NEG)
 
     def attend(i, q, k, v):
         k_ctx, v_ctx = ctx[i]
@@ -280,12 +283,13 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
             s = s + ((q * factors[i].reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
         return ad.softmax(s, additive_mask=additive) @ ad.concat([v_ctx, v], axis=-2)
 
-    return _layers(w, c, Tensor(w["tok_emb"][tokens[:, n_ctx:]]), cos, sin, attend)
+    x = Tensor(w["tok_emb"][tokens[:, n_ctx:]])
+    return layers(w, c, x, n_ctx, _grouped(c, attend))
 
 
-def forward_full(model, tokens, n_ans, want_record=False):
+def forward_full(model, tokens, n_ans):
     """Standard causal full attention."""
-    return _forward(model, tokens, n_ans, want_record=want_record)
+    return _forward(model, tokens, n_ans)
 
 
 def forward_scaled(model, tokens, n_ans, factors, masks):
@@ -299,7 +303,7 @@ def forward_scaled(model, tokens, n_ans, factors, masks):
     h_last = answer_rows(model, context_kv(model, tokens, n_ans), tokens, n_ans, factors, masks)
     if squeeze:
         h_last = h_last.reshape(n_ans, model.config.d_model)
-    return ForwardRecord(h_last=h_last, logits=None, n_ans=n_ans, layers=[])
+    return ForwardRecord(h_last=h_last, logits=None, n_ans=n_ans)
 
 
 def _pretrain_step(model, opt, batch, step):

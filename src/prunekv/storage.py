@@ -215,7 +215,7 @@ def load_checkpoint(path):
 
 
 def save_json(path, obj):
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2).encode() + b"\n")
+    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).encode() + b"\n")
 
 
 def load_json(path):

@@ -44,6 +44,9 @@ def test_channel_norm_ratios_window_validation():
     toy = ToyTransformer.create(CFG, seed=3)
     with pytest.raises(ValueError):
         analysis.channel_norm_ratios(toy, sample(3, seq_len=24), obs_window=100)
+    # a window longer than the sample used to pool a wrapped-around slice of rows
+    with pytest.raises(ValueError, match="query window 100 exceeds"):
+        analysis.high_freq_ratio(toy, sample(3, seq_len=24), q_window=100)
 
 
 def test_pearson_hand_example():

@@ -66,11 +66,12 @@ def test_blocked_prefill_matches_reference_across_block_edges(t):
     layers, logits = np_forward(toy.weights_numpy(), CFG, tokens, want_q=True)
     want = helpers.reference_forward(toy.weights_numpy(), CFG, tokens)
     np.testing.assert_allclose(logits, want, rtol=1e-9, atol=1e-10)
-    # want_q hands back the unscaled post-RoPE q, as the Tensor forward records it
-    rec = forward_full(toy, tokens, 1, want_record=True)
-    for (q, k, v), (rq, rk, rv) in zip(layers, rec.layers):
+    # want_q hands back the unscaled post-RoPE q, as the oracle records it
+    _, _, ref_layers = helpers.reference_scaled_forward(
+        toy.weights_numpy(), CFG, tokens, 1, np.ones(CFG.factor_shape), sink=0, window=0)
+    for (q, k, v), (rq, rk, rv) in zip(layers, ref_layers):
         for got, ref in [(q, rq), (k, rk), (v, rv)]:
-            np.testing.assert_allclose(got.transpose(1, 0, 2), ref[0], rtol=1e-9, atol=1e-10)
+            np.testing.assert_allclose(got.transpose(1, 0, 2), ref, rtol=1e-9, atol=1e-10)
 
 
 def test_prefill_memory_bound_at_max_pos():

@@ -97,10 +97,10 @@ def test_mask_validation_names_offending_head():
 def test_mask_stats():
     bits = np.zeros((1, 2, 8), dtype=np.uint8)
     bits[0, 0] = 1
-    stats = masking.mask_stats(BinaryChannelMask(bits=bits, r=4, keep_ratio=0.5))
-    assert stats.keep_fraction == 0.5
-    assert stats.streaming_heads == [(0, 1)]
-    assert stats.kept_counts.tolist() == [[8, 0]]
+    beta = BinaryChannelMask(bits=bits, r=4, keep_ratio=0.5)
+    assert beta.keep_fraction() == 0.5
+    assert beta.streaming_heads() == [(0, 1)]
+    assert beta.kept_counts().tolist() == [[8, 0]]
 
 
 def test_train_spec_defaults_and_validation():

@@ -7,12 +7,18 @@ import pytest
 
 import prunekv.autodiff as ad
 from prunekv import masking, model as pm, tasks
-from prunekv.model import ModelConfig, ToyTransformer, apply_rope, build_masks, rope_angles
+from prunekv.model import ModelConfig, ToyTransformer, build_masks, rope_angles
 
 import helpers
 
 TINY = ModelConfig(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=8,
                    d_ff=32, vocab_size=64, max_pos=128)
+
+
+def apply_rope(x, positions, base=10000.0):
+    """Rotate-half RoPE of an ndarray (..., T, head_dim) at `positions`."""
+    x = np.asarray(x, dtype=np.float64)
+    return ad.rotate_half(x, *rope_angles(x.shape[-1], positions, base))
 
 
 def test_config_validation_and_derived():
@@ -118,20 +124,21 @@ def test_scaled_with_zero_factors_zeroes_mid_logits():
     toy = ToyTransformer.create(c, seed=5)
     tokens = np.random.default_rng(5).integers(0, c.vocab_size, size=13)
     masks = build_masks(n_ctx=12, n_ans=1, sink=2, window=3)
-    rec = pm.forward_full(toy, tokens, 1, want_record=True)
-    q, k, _ = rec.layers[0]  # (1, n_heads, T, d)
+    # unit factors give the full pass; its first layer's post-RoPE q and k
+    _, _, full_layers = helpers.reference_scaled_forward(
+        toy.weights_numpy(), c, tokens, 1, np.ones(c.factor_shape), sink=2, window=3)
+    q, k, _ = full_layers[0]  # (n_heads, T, d)
     row = 12
-    logits = q[0, 0, row] @ k[0, 0].T / 2.0  # scale 1/sqrt(4)
+    logits = q[0, row] @ k[0].T / 2.0  # scale 1/sqrt(4)
     expect = logits.copy()
     expect[np.where(masks.mid[row, :13])[0]] = 0.0
     p_expect = np.exp(expect) / np.exp(expect).sum()
 
-    # forward_scaled keeps no per-layer record; the full-sequence oracle does
     _, _, scaled_layers = helpers.reference_scaled_forward(
         toy.weights_numpy(), c, tokens, 1, np.zeros(c.factor_shape), sink=2, window=3)
     qs, ks, vs = scaled_layers[0]  # (n_heads, T, d)
     # first layer q/k identical to the full pass; recompute the scaled row
-    np.testing.assert_allclose(qs, q[0], rtol=1e-12)
+    np.testing.assert_allclose(qs, q, rtol=1e-12)
     ls = qs[0, row] @ ks[0].T / 2.0
     ls_masked = ls * masks.s_plus_l[row, :13]  # mid term vanishes when factors are 0
     p_got = np.exp(ls_masked) / np.exp(ls_masked).sum()
@@ -236,6 +243,29 @@ def test_forward_input_validation():
     with pytest.raises(ValueError, match="no context"):
         pm.forward_scaled(toy, np.zeros(3, dtype=int), 3, np.ones(TINY.factor_shape),
                           build_masks(0, 3, 0, 0))
+
+
+def test_layers_on_ndarrays_match_tensors():
+    # the one layer body: plain numpy on ndarray rows and weights, Tensor ops
+    # otherwise, with the same values
+    c = TINY
+    toy = ToyTransformer.create(c, seed=8)
+    w = toy.weights_numpy()
+    x = w["tok_emb"][np.random.default_rng(8).integers(0, c.vocab_size, size=10)]
+    additive = np.where(np.tril(np.ones((10, 10), dtype=bool)), 0.0, ad.MASK_NEG)
+
+    def attend(unwrap):
+        def fn(i, q, k, v):  # (T, heads, d) rows as (n_kv, g, T, d) and (n_kv, 1, T, d)
+            q, k, v = (a.transpose(1, 0, 2).reshape(c.n_kv_heads, -1, 10, c.head_dim)
+                       for a in (q, k, v))
+            out = unwrap(ad.attention(q, k, v, c.head_dim ** -0.5, additive))
+            return out.transpose(2, 0, 1, 3).reshape(10, c.d_model)
+        return fn
+
+    got = pm.layers(w, c, x, 3, attend(lambda a: a.data))
+    want = pm.layers(toy.params, c, ad.Tensor(x), 3, attend(lambda a: a))
+    assert type(got) is np.ndarray and isinstance(want, ad.Tensor)
+    np.testing.assert_array_equal(got, want.data)
 
 
 def seeded_stream(spec, batch):

@@ -257,6 +257,23 @@ def test_experiment_config_round_trip():
         ExperimentConfig(prune_ratio=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("eval_samples", 0), ("calib_samples", 0), ("pretrain_batch", 0), ("migrate_every", 0),
+    ("q_window", -1), ("eval_samples", 2.5), ("align", 0), ("align", 17), ("align", True),
+])
+def test_experiment_config_rejects_bad_counts(field, value):
+    from prunekv.experiment import ExperimentConfig
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ExperimentConfig(**{field: value})
+    ExperimentConfig(align=16)  # align may keep every channel of a head
+
+
+def test_save_json_rejects_nan(tmp_path):
+    with pytest.raises(ValueError):
+        storage.save_json(tmp_path / "r.json", {"accuracy": float("nan")})
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_out_root_env_var(monkeypatch):
     from prunekv.experiment import ExperimentConfig
     cfg = ExperimentConfig(out_dir="runs/x")
@@ -285,6 +302,15 @@ def test_cli_memory_report(tmp_path, capsys):
 def test_cli_errors_return_nonzero(tmp_path, capsys):
     assert cli.main(["memory-report", str(tmp_path / "missing.pkv")]) == cli.EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_eval_samples(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    storage.save_json(cfg_path, {"eval_samples": 0})
+    assert cli.main(["eval", str(tmp_path / "model.pkv"), "--mode", "full",
+                     "--config", str(cfg_path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: eval_samples must be a positive int, got 0")
 
 
 def decode_setup(tmp_path):
