@@ -35,7 +35,8 @@ class HeadFreqProfile:
 
 def record_qk(model, sample):
     """Post-RoPE (q (T, n_q, d), k (T, n_kv, d)) per layer for one sample."""
-    layers, _ = np_forward(model.weights_numpy(), model.config, sample.tokens, want_q=True)
+    layers, _ = np_forward(model.weights_numpy(), model.config, sample.tokens, want_q=True,
+                           rows=0)
     return [(q, k) for q, k, _ in layers]
 
 

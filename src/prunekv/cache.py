@@ -37,37 +37,46 @@ def _check_tokens(tokens, config):
     return tokens
 
 
-def np_forward(weights, config, tokens, want_q=False):
+def np_forward(weights, config, tokens, want_q=False, rows=None):
     """Plain-numpy causal attention forward over a prompt, row-blocked.
 
-    Returns (per-layer list, logits (T, vocab)). Each layer entry is
-    (k, v) of shape (T, n_kv, d) post-RoPE, plus the unscaled q (T, n_q, d)
-    if requested. Query rows go in blocks of `PREFILL_BLOCK`: block
-    [lo, hi) scores only keys [0, hi), which hold every key its rows can
-    see, so each block's plain softmax is exact and the score buffer is
-    (n_kv, g, PREFILL_BLOCK, hi), not (T, T). Mask learning's context pass
-    (`model.context_kv`) and `analysis.record_qk` run it too.
+    Returns (per-layer list, logits (rows, vocab) of the trailing `rows`
+    positions; every position if `rows` is None). Each layer entry is (k, v)
+    of shape (T, n_kv, d) post-RoPE, plus the unscaled q (T, n_q, d) if
+    requested; these cover every position whatever `rows` is. The last
+    layer's attention, FFN and `lm_head` run only for the trailing `rows`
+    positions, as nothing else reads them. Query rows go in blocks of
+    `PREFILL_BLOCK`: block [lo, hi) scores only keys [0, hi), which hold
+    every key its rows can see, so each block's plain softmax is exact and
+    the score buffer is (n_kv, g, PREFILL_BLOCK, hi), not (T, T). Mask
+    learning's context pass (`model.context_kv`) and `analysis.record_qk`
+    run it too, with `rows=0`.
     """
     c = config
     tokens = np.asarray(tokens)
     t = len(tokens)
     if t > c.max_pos:
         raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
+    if rows is None:
+        rows = t
+    if not 0 <= rows <= t:
+        raise ValueError(f"rows must be in [0, {t}], got {rows}")
     layers = []
 
     def attend(i, q, k, v):
         layers.append((q, k, v) if want_q else (k, v))
-        qh = (q * (1.0 / np.sqrt(c.head_dim))).transpose(1, 0, 2).reshape(
-            c.n_kv_heads, c.group_size, t, c.head_dim)
+        first = t - rows if i == c.n_layers - 1 else 0  # earlier layers feed every row on
+        qh = (q[first:] * (1.0 / np.sqrt(c.head_dim))).transpose(1, 0, 2).reshape(
+            c.n_kv_heads, c.group_size, t - first, c.head_dim)
         kt, vh = k.transpose(1, 2, 0)[:, None], v.transpose(1, 0, 2)[:, None]
-        out = np.empty((t, c.n_kv_heads, c.group_size, c.head_dim))
-        rows = out.transpose(1, 2, 0, 3)  # (n_kv, g, T, d) view of out
-        for lo in range(0, t, PREFILL_BLOCK):
+        out = np.empty((t - first, c.n_kv_heads, c.group_size, c.head_dim))
+        blocks = out.transpose(1, 2, 0, 3)  # (n_kv, g, t - first, d) view of out
+        for lo in range(first, t, PREFILL_BLOCK):
             hi = min(lo + PREFILL_BLOCK, t)
-            s = qh[:, :, lo:hi] @ kt[..., :hi]
+            s = qh[:, :, lo - first:hi - first] @ kt[..., :hi]
             s[..., lo:] += _DIAGONAL_MASK[:hi - lo, :hi - lo]  # causal only on the diagonal
-            np.matmul(ad.softmax_(s), vh[:, :, :hi], out=rows[:, :, lo:hi])
-        return out.reshape(t, -1)
+            np.matmul(ad.softmax_(s), vh[:, :, :hi], out=blocks[:, :, lo - first:hi - first])
+        return out.reshape(t - first, c.d_model)
 
     h = model_mod.layers(weights, c, weights["tok_emb"][tokens], 0, attend)
     return layers, h @ weights["lm_head"]
@@ -218,12 +227,12 @@ def prefill_and_partition(model, beta, tokens, sink, window,
     """
     cache = PartitionedKVCache(model.config, beta, sink, window, migrate_every, forced_streaming)
     tokens = _check_tokens(tokens, model.config)
-    layers, logits = np_forward(model.weights_numpy(), model.config, tokens)
+    layers, logits = np_forward(model.weights_numpy(), model.config, tokens, rows=1)
     cache.k_full = [k for k, _ in layers]  # every position full width, then migrate
     cache.v_full = [v for _, v in layers]
     cache.seq_len = len(tokens)
     _migrate(cache, cache.pending)
-    return cache, logits[-1]
+    return cache, logits[0]
 
 
 def _migrate(cache, n):
@@ -271,7 +280,9 @@ def greedy_decode(model, tokens, n_new, beta, sink, window,
 
     `question` tokens, if given, are fed through the decode path after the
     prefill (context cached first, the query arrives later), so even the
-    first generated token attends the pruned cache.
+    first generated token attends the pruned cache. The last generated token
+    is fed to the cache only with `collect_logits`, which records its
+    logits; otherwise the returned cache ends one position before it.
     """
     if n_new < 0:
         raise ValueError(f"n_new must be >= 0, got {n_new}")
@@ -286,10 +297,11 @@ def greedy_decode(model, tokens, n_new, beta, sink, window,
     if question is not None:
         for tok in np.asarray(question):
             logits = decode_step(model, cache, int(tok))
-    for _ in range(n_new):
+    for step in range(n_new):
         nxt = int(np.argmax(logits))
         out.append(nxt)
-        logits = decode_step(model, cache, nxt)
+        if collect_logits or step < n_new - 1:  # nothing reads the last token's logits
+            logits = decode_step(model, cache, nxt)
         if collect_logits:
             logit_trace.append(logits)
     return np.array(out, dtype=np.int64), logit_trace, cache

@@ -108,10 +108,10 @@ def cmd_decode(args):
         prompt = sample.ctx_tokens
         n_new = args.n_new or len(sample.ans_tokens)
     spec = cfg.train_spec()
-    out_tokens, _, kv = cache.greedy_decode(toy, prompt, n_new, beta,
-                                            spec.sink, spec.window, cfg.migrate_every)
+    out_tokens, _, _ = cache.greedy_decode(toy, prompt, n_new, beta,
+                                           spec.sink, spec.window, cfg.migrate_every)
     print("tokens: " + " ".join(map(str, out_tokens.tolist())))
-    mem = cache.memory_report(beta, toy.config, kv.seq_len, spec.sink, spec.window)
+    mem = cache.memory_report(beta, toy.config, len(prompt) + n_new, spec.sink, spec.window)
     print(json.dumps(mem.as_dict(), sort_keys=True, indent=2))
     return EXIT_OK
 

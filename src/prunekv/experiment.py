@@ -5,6 +5,7 @@ the exact config that produced them and contain no wall-clock data.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -58,10 +59,24 @@ class ExperimentConfig:
             object.__setattr__(self, "train", train)
         for name in ("eval_samples", "calib_samples", "pretrain_batch", "migrate_every", "q_window",
                      "align"):
-            model_mod.check_positive_int(name, getattr(self, name))
-        head_dim = self.model_config().head_dim  # rejects bad model settings on load
-        if self.align > head_dim:
-            raise ValueError(f"align must be at most head_dim {head_dim}, got {self.align}")
+            model_mod.check_int(name, getattr(self, name))
+        for name in ("pretrain_steps", "pretrain_repeat_steps"):
+            model_mod.check_int(name, getattr(self, name), low=0)
+        model_mod.check_int("eval_seq_len", self.eval_seq_len, low=8)
+        if not (_is_real(self.pretrain_lr) and 0 < self.pretrain_lr < float("inf")):
+            raise ValueError(f"pretrain_lr must be a positive finite number, "
+                             f"got {self.pretrain_lr!r}")
+        if not (_is_real(self.whf_fraction) and 0 <= self.whf_fraction <= 1):
+            raise ValueError(f"whf_fraction must be in [0, 1], got {self.whf_fraction!r}")
+        if self.eval_kind not in tasks.KINDS:
+            raise ValueError(f"eval_kind must be one of {list(tasks.KINDS)}, "
+                             f"got {self.eval_kind!r}")
+        c = self.model_config()  # rejects bad model settings on load
+        if self.align > c.head_dim:
+            raise ValueError(f"align must be at most head_dim {c.head_dim}, got {self.align}")
+        if self.eval_seq_len > c.max_pos:
+            raise ValueError(f"eval_seq_len must be at most max_pos {c.max_pos}, "
+                             f"got {self.eval_seq_len}")
         self.train_spec()
 
     @property
@@ -90,6 +105,10 @@ class ExperimentConfig:
 
     def hash(self):
         return storage.config_hash(self.to_dict())
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _known_keys(what, d, cls):

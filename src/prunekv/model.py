@@ -21,10 +21,11 @@ from . import cache
 from .autodiff import MASK_NEG, Tensor, rope_angles
 
 
-def check_positive_int(name, value):
-    """ValueError naming `name` unless `value` is an int >= 1 (not a bool)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive int, got {value!r}")
+def check_int(name, value, low=1):
+    """ValueError naming `name` unless `value` is an int >= `low` (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        kind = "a positive int" if low == 1 else f"an int >= {low}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "n_q_heads", "n_kv_heads", "head_dim", "d_ff", "vocab_size",
                      "max_pos"):
-            check_positive_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if not isinstance(self.rope_base, numbers.Real) or not self.rope_base > 0:
             raise ValueError(f"rope_base must be a positive number, got {self.rope_base!r}")
         if self.head_dim % 2 != 0:
@@ -176,7 +177,9 @@ def layers(w, config, x, start, attend):
     maps parameter names to Tensors or ndarrays; with ndarray x and weights
     every step is plain numpy. `attend(i, q, k, v)` is layer i's attention:
     it gets post-RoPE q (..., T, n_q, d) and k, v (..., T, n_kv, d) and
-    returns (..., T, n_q * d).
+    returns (..., R, n_q * d) for the trailing R <= T rows; only those rows
+    go on, so the result has R rows. Only the last layer's attend may answer
+    fewer than T rows, as the next layer needs every row's k and v.
     """
     c = config
     rows = x.shape[:-1]
@@ -188,7 +191,10 @@ def layers(w, config, x, start, attend):
         q = ad.rope_rotate((h @ w[f"l{i}.wq"]).reshape(*q_shape), cos, sin)
         k = ad.rope_rotate((h @ w[f"l{i}.wk"]).reshape(*kv_shape), cos, sin)
         v = (h @ w[f"l{i}.wv"]).reshape(*kv_shape)
-        x = x + attend(i, q, k, v) @ w[f"l{i}.wo"]
+        a = attend(i, q, k, v)
+        if a.shape[-2] < x.shape[-2]:
+            x = x[..., x.shape[-2] - a.shape[-2]:, :]
+        x = x + a @ w[f"l{i}.wo"]
         h = ad.rms_norm(x, w[f"l{i}.ffn_norm"])
         x = x + (ad.silu(h @ w[f"l{i}.w_gate"]) * (h @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
     return ad.rms_norm(x, w["final_norm"])
@@ -238,7 +244,7 @@ def context_kv(model, tokens, n_ans):
     if n_ctx < 1:
         raise ValueError(f"answer length {n_ans} leaves no context rows")
     w = model.weights_numpy()
-    passes = [cache.np_forward(w, c, row[:n_ctx])[0] for row in tokens]
+    passes = [cache.np_forward(w, c, row[:n_ctx], rows=0)[0] for row in tokens]
     return [tuple(np.stack([kv[i][j] for kv in passes]).transpose(0, 2, 1, 3)[:, :, None]
                   for j in (0, 1)) for i in range(c.n_layers)]
 

@@ -72,6 +72,18 @@ def test_blocked_prefill_matches_reference_across_block_edges(t):
     for (q, k, v), (rq, rk, rv) in zip(layers, ref_layers):
         for got, ref in [(q, rq), (k, rk), (v, rv)]:
             np.testing.assert_allclose(got.transpose(1, 0, 2), ref, rtol=1e-9, atol=1e-10)
+    # `rows` trims only the last layer's rows after attention: every q, k
+    # and v stays bit-identical and the logits are the trailing rows
+    for rows in sorted({0, 1, 2, t} & set(range(t + 1))):
+        part, tail = np_forward(toy.weights_numpy(), CFG, tokens, want_q=True, rows=rows)
+        assert tail.shape == (rows, CFG.vocab_size)
+        np.testing.assert_allclose(tail, want[t - rows:], rtol=1e-9, atol=1e-10)
+        for got, ref in zip(part, layers):
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+    for rows in (-1, t + 1):
+        with pytest.raises(ValueError, match="rows"):
+            np_forward(toy.weights_numpy(), CFG, tokens, rows=rows)
 
 
 def test_prefill_memory_bound_at_max_pos():
@@ -368,8 +380,33 @@ def test_greedy_decode_checks_length_before_work(monkeypatch):
     with pytest.raises(ValueError, match="max_pos"):
         greedy_decode(toy, prompt, 4, ones, 4, 8, question=[1, 2])
     monkeypatch.undo()
-    toks, _, kv = greedy_decode(toy, prompt, 3, ones, 4, 8, question=[1, 2])
+    toks, _, kv = greedy_decode(toy, prompt, 3, ones, 4, 8, question=[1, 2],
+                                collect_logits=True)
     assert len(toks) == 3 and kv.seq_len == CFG.max_pos  # the last position is usable
+
+
+def test_greedy_decode_skips_the_unread_last_step(monkeypatch):
+    toy = make_model(14)
+    prompt = np.random.default_rng(14).integers(0, CFG.vocab_size, size=24)
+    question, n_new = [1, 2], 3
+    ones = BinaryChannelMask.all_ones(CFG.factor_shape)
+    calls, original = [], cache.decode_step
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(cache, "decode_step", counted)
+    toks, _, kv = greedy_decode(toy, prompt, n_new, ones, 4, 8, question=question)
+    # len(question) + n_new - 1 steps: the last generated token, whose
+    # logits nothing reads, is never fed
+    assert calls == question + toks[:-1].tolist()
+    assert kv.seq_len == len(prompt) + len(question) + n_new - 1
+    calls.clear()
+    want, trace, _ = greedy_decode(toy, prompt, n_new, ones, 4, 8, question=question,
+                                   collect_logits=True)
+    assert calls == question + want.tolist() and len(trace) == n_new
+    np.testing.assert_array_equal(toks, want)
 
 
 def test_question_tokens_decode_through_cache():
@@ -378,8 +415,9 @@ def test_question_tokens_decode_through_cache():
     prompt = rng.integers(0, CFG.vocab_size, size=32)
     ones = BinaryChannelMask.all_ones(CFG.factor_shape)
     # feeding the tail through the decode path must equal prefill of the whole
-    a, _, kv_a = greedy_decode(toy, prompt, 5, ones, 4, 8)
-    b, _, kv_b = greedy_decode(toy, prompt[:-3], 5, ones, 4, 8, question=prompt[-3:])
+    a, _, kv_a = greedy_decode(toy, prompt, 5, ones, 4, 8, collect_logits=True)
+    b, _, kv_b = greedy_decode(toy, prompt[:-3], 5, ones, 4, 8, question=prompt[-3:],
+                               collect_logits=True)
     np.testing.assert_array_equal(a, b)
     seq = np.concatenate([prompt, a])
     assert_stores_hold(kv_a, toy, seq)

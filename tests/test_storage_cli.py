@@ -260,12 +260,19 @@ def test_experiment_config_round_trip():
 @pytest.mark.parametrize("field, value", [
     ("eval_samples", 0), ("calib_samples", 0), ("pretrain_batch", 0), ("migrate_every", 0),
     ("q_window", -1), ("eval_samples", 2.5), ("align", 0), ("align", 17), ("align", True),
+    ("pretrain_steps", -5), ("pretrain_repeat_steps", -1), ("pretrain_steps", 1.5),
+    ("pretrain_lr", 0.0), ("pretrain_lr", -1.0), ("pretrain_lr", float("inf")),
+    ("pretrain_lr", float("nan")), ("pretrain_lr", "fast"), ("whf_fraction", -0.1),
+    ("whf_fraction", 2.0), ("eval_kind", "bogus"), ("eval_seq_len", 7), ("eval_seq_len", 2049),
 ])
 def test_experiment_config_rejects_bad_counts(field, value):
     from prunekv.experiment import ExperimentConfig
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ExperimentConfig(**{field: value})
-    ExperimentConfig(align=16)  # align may keep every channel of a head
+    # the edges of each range load; align may keep every channel of a head
+    ExperimentConfig(align=16, pretrain_steps=0, pretrain_repeat_steps=0, whf_fraction=1.0,
+                     eval_seq_len=2048)
+    ExperimentConfig(whf_fraction=0.0, eval_seq_len=8, eval_kind="niah_eval")
 
 
 def test_save_json_rejects_nan(tmp_path):
@@ -321,7 +328,7 @@ def decode_setup(tmp_path):
     storage.save_json(cfg_path, ExperimentConfig(
         model={"n_layers": 1, "n_q_heads": 2, "n_kv_heads": 2, "head_dim": 8,
                "d_ff": 16, "vocab_size": 32, "max_pos": 64},
-        train={"sink": 2, "window": 4}).to_dict())
+        train={"sink": 2, "window": 4}, eval_seq_len=64).to_dict())
     return ["decode", str(ckpt), "--config", str(cfg_path)]
 
 

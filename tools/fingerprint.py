@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Bit-identity fingerprint of pretraining and mask learning.
+
+Pretrains the toy model for 12 copying and 4 retrieval steps, runs 4
+stage-1 and 2 stage-2 mask-learning steps, and prints every loss as its
+`repr` plus the sha256 of the trained parameters and of both stages' alpha.
+Two trees that print the same bytes train the same weights and factors bit
+for bit. Run from the repository root, before and after a change:
+
+    PYTHONPATH=src python tools/fingerprint.py > before.txt
+
+`--tiny` runs a two-layer model in about a second.
+"""
+import argparse
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+
+from prunekv import experiment, masking, model
+
+TINY = dict(model=dict(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=32,
+                       vocab_size=512, max_pos=256),
+            train={"sink": 2, "window": 8, "seq_len_range": (32, 48)},
+            pretrain_seq_lens=(16, 24), repeat_len_range=(8, 16), pretrain_batch=2)
+
+
+def sha256(named):
+    h = hashlib.sha256()
+    for name, array in sorted(named.items()):
+        h.update(name.encode() + np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tiny", action="store_true", help="a two-layer model")
+    parser.add_argument("--seed", type=int, default=0, help="initial weights")
+    args = parser.parse_args(argv)
+    cfg = experiment.ExperimentConfig(seed=args.seed, pretrain_repeat_steps=12, pretrain_steps=4,
+                                      **(TINY if args.tiny else {}))
+    spec = replace(cfg.train_spec(), steps_stage1=4, steps_stage2=2)
+    toy = model.ToyTransformer.create(cfg.model_config(), seed=cfg.seed)
+    _, pretrain = model.pretrain(toy, experiment.make_pretrain_stream(cfg), 16, cfg.pretrain_lr,
+                                 seed=cfg.seed)
+    stream = experiment.make_mask_stream(cfg)  # one stream for both stages, as cmd_learn_mask
+    alpha1, stage1 = masking.stage1_train(toy, stream, spec)
+    _, alpha2, stage2 = masking.stage2_train(toy, stream, alpha1, cfg.keep_ratio, cfg.align, spec)
+    for name, losses in [("pretrain", pretrain), ("stage1", stage1), ("stage2", stage2)]:
+        print(f"{name} losses: {' '.join(map(repr, losses))}")
+    print(f"params sha256: {sha256(toy.weights_numpy())}")
+    print(f"alpha sha256: stage1 {sha256({'alpha': alpha1})} stage2 {sha256({'alpha': alpha2})}")
+
+
+if __name__ == "__main__":
+    main()
