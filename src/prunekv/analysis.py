@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import np_forward
-from .masking import BinaryChannelMask, round_half_up, select_mask
+from .masking import BinaryChannelMask, round_half_up, select_mask, top_channels
 
 DEFAULT_OBS_WINDOW = 64
 
@@ -115,7 +115,7 @@ def static_norm_mask(model, samples, keep_ratio, r, obs_window=DEFAULT_OBS_WINDO
     return select_mask(mean.reshape(shape), keep_ratio, r)
 
 
-def dynamic_norm_mask(model, sample, keep_ratio, q_window, r=1, budgets=None):
+def dynamic_norm_mask(model, sample, keep_ratio, q_window, budgets=None):
     """Per-sample norm-based mask from the last `q_window` queries only.
 
     Uniform variant (budgets None) keeps round(keep_ratio * d) channels in
@@ -125,17 +125,9 @@ def dynamic_norm_mask(model, sample, keep_ratio, q_window, r=1, budgets=None):
         raise ValueError("q_window must be >= 1")
     c = model.config
     scores = channel_norm_ratios(model, sample, q_window).values.reshape(c.factor_shape)
-    d = c.head_dim
     if budgets is None:
-        budgets = np.full((c.n_layers, c.n_kv_heads), int(round_half_up(keep_ratio * d)), dtype=int)
-    else:
-        budgets = np.asarray(budgets, dtype=int)
-    bits = np.zeros(c.factor_shape, dtype=np.uint8)
-    for i in range(c.n_layers):
-        for j in range(c.n_kv_heads):
-            order = np.lexsort((np.arange(d), -scores[i, j]))
-            bits[i, j, order[:budgets[i, j]]] = 1
-    return BinaryChannelMask(bits=bits, r=r if budgets is None else 1, keep_ratio=keep_ratio)
+        budgets = int(round_half_up(keep_ratio * c.head_dim))
+    return BinaryChannelMask(bits=top_channels(scores, budgets), r=1, keep_ratio=keep_ratio)
 
 
 def freq_profile(mask_or_values):

@@ -48,6 +48,7 @@ def _unbroadcast(grad, shape):
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __array_ufunc__ = None  # `ndarray + Tensor` calls Tensor.__radd__, not a numpy ufunc
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -251,7 +252,10 @@ def reshape(a, shape):
 
 
 def concat(parts, axis):
-    """Join tensors along `axis`; each part's gradient is its slice of the output's."""
+    """Join tensors along `axis`; each part's gradient is its slice of the output's.
+    All-ndarray parts are joined by `np.concatenate` and stay an ndarray."""
+    if all(isinstance(p, np.ndarray) for p in parts):
+        return np.concatenate(parts, axis=axis)
     parts = [_lift(p) for p in parts]
     ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
@@ -308,8 +312,9 @@ def sum_squares(a):
 
 
 # Plain-ndarray kernels. The Tensor ops below take their forward values from
-# them; `rms_norm`, `silu` and `rope_rotate` return the kernel's result as is
-# when given an ndarray, so one layer body serves Tensors and plain numpy.
+# them; `softmax`, `rms_norm`, `silu` and `rope_rotate` (and `concat` above)
+# return the plain result when given ndarrays, so one layer body serves
+# Tensors and plain numpy.
 
 def softmax_(z, axis=-1):
     """Softmax along `axis`, normalised in place in `z`, which is returned."""
@@ -355,6 +360,8 @@ def softmax(a, additive_mask=None, axis=-1):
     Masked-out positions should carry a large negative value in the mask
     (selection semantics), never a multiplicative zero.
     """
+    if isinstance(a, np.ndarray):
+        return softmax_(a.copy() if additive_mask is None else a + additive_mask, axis)
     a = _lift(a)
     p = softmax_(a.data.copy() if additive_mask is None else a.data + additive_mask, axis)
 
@@ -536,3 +543,29 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
+
+
+def fit(params, lr, steps, step_loss, log=None):
+    """Minimise with Adam: `step_loss(step)` builds step `step`'s scalar loss
+    Tensor over `params`; returns the per-step losses as floats.
+
+    A non-finite loss raises DivergenceError before any parameter moves in
+    that step. `log(step, loss)` runs after each step. A step's graph is
+    released before the next `step_loss` call.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    opt = Adam(params, lr=lr)
+    losses = []
+    for step in range(steps):
+        loss = step_loss(step)
+        losses.append(float(loss.data))
+        if not np.isfinite(losses[-1]):
+            raise DivergenceError(step, losses[-1])
+        opt.zero_grad()
+        loss.backward()
+        del loss
+        opt.step()
+        if log is not None:
+            log(step, losses[-1])
+    return losses

@@ -327,6 +327,8 @@ def memory_report(beta, config, seq_len, sink, window,
         raise ValueError(f"need seq_len >= 1 and bytes_per_element >= 1, "
                          f"got {seq_len} and {bytes_per_element}")
     c = config
+    if beta.bits.shape != c.factor_shape:
+        raise ValueError(f"mask shape {beta.bits.shape} != model factor shape {c.factor_shape}")
     d = c.head_dim
     counts = beta.kept_counts()
     mid = max(0, seq_len - sink - window)

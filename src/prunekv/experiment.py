@@ -5,13 +5,13 @@ the exact config that produced them and contain no wall-clock data.
 """
 from __future__ import annotations
 
-import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import analysis, cache, masking, model as model_mod, storage, tasks
+from . import autodiff as ad
 
 MODE_FULL = "full"
 MODE_LEARNED = "learned"
@@ -50,34 +50,39 @@ class ExperimentConfig:
     whf_fraction: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 <= self.prune_ratio < 1.0:
-            raise ValueError(f"prune_ratio must be in [0, 1), got {self.prune_ratio}")
-        object.__setattr__(self, "pretrain_seq_lens", tuple(self.pretrain_seq_lens))
-        object.__setattr__(self, "repeat_len_range", tuple(self.repeat_len_range))
-        if "seq_len_range" in self.train:
-            train = {**self.train, "seq_len_range": tuple(self.train["seq_len_range"])}
-            object.__setattr__(self, "train", train)
+        if not (model_mod.is_real(self.prune_ratio) and 0.0 <= self.prune_ratio < 1.0):
+            raise ValueError(f"prune_ratio must be a number in [0, 1), got {self.prune_ratio!r}")
         for name in ("eval_samples", "calib_samples", "pretrain_batch", "migrate_every", "q_window",
                      "align"):
             model_mod.check_int(name, getattr(self, name))
-        for name in ("pretrain_steps", "pretrain_repeat_steps"):
+        for name in ("pretrain_steps", "pretrain_repeat_steps", "seed", "eval_seed"):
             model_mod.check_int(name, getattr(self, name), low=0)
         model_mod.check_int("eval_seq_len", self.eval_seq_len, low=8)
-        if not (_is_real(self.pretrain_lr) and 0 < self.pretrain_lr < float("inf")):
+        if not (model_mod.is_real(self.pretrain_lr) and 0 < self.pretrain_lr < float("inf")):
             raise ValueError(f"pretrain_lr must be a positive finite number, "
                              f"got {self.pretrain_lr!r}")
-        if not (_is_real(self.whf_fraction) and 0 <= self.whf_fraction <= 1):
+        if not (model_mod.is_real(self.whf_fraction) and 0 <= self.whf_fraction <= 1):
             raise ValueError(f"whf_fraction must be in [0, 1], got {self.whf_fraction!r}")
         if self.eval_kind not in tasks.KINDS:
             raise ValueError(f"eval_kind must be one of {list(tasks.KINDS)}, "
                              f"got {self.eval_kind!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         c = self.model_config()  # rejects bad model settings on load
         if self.align > c.head_dim:
             raise ValueError(f"align must be at most head_dim {c.head_dim}, got {self.align}")
         if self.eval_seq_len > c.max_pos:
             raise ValueError(f"eval_seq_len must be at most max_pos {c.max_pos}, "
                              f"got {self.eval_seq_len}")
-        self.train_spec()
+        object.__setattr__(self, "pretrain_seq_lens",
+                           _seq_lens("pretrain_seq_lens", self.pretrain_seq_lens, c.max_pos))
+        lens = _seq_lens("repeat_len_range", self.repeat_len_range, c.max_pos, n=2)
+        if lens[0] > lens[1]:
+            raise ValueError(f"repeat_len_range must be (lo, hi) with lo <= hi, got {lens}")
+        object.__setattr__(self, "repeat_len_range", lens)
+        spec = self.train_spec()  # rejects bad train settings on load
+        if "seq_len_range" in self.train:
+            object.__setattr__(self, "train", {**self.train, "seq_len_range": spec.seq_len_range})
 
     @property
     def keep_ratio(self):
@@ -107,12 +112,24 @@ class ExperimentConfig:
         return storage.config_hash(self.to_dict())
 
 
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _seq_lens(name, value, max_pos, n=None):
+    """`value` as a tuple, or ValueError unless it is a non-empty list of
+    ints in [8, max_pos] (exactly `n` of them if given)."""
+    if not isinstance(value, (list, tuple)) or not value or n not in (None, len(value)):
+        size = "a non-empty list" if n is None else f"a list of {n}"
+        raise ValueError(f"{name} must be {size} of sequence lengths, got {value!r}")
+    for v in value:
+        model_mod.check_int(name, v, low=8)
+        if v > max_pos:
+            raise ValueError(f"{name} must be at most max_pos {max_pos}, got {v}")
+    return tuple(value)
 
 
 def _known_keys(what, d, cls):
-    """`d` as a dict, or ValueError naming the valid keys if one is not a field of `cls`."""
+    """`d` as a dict, or ValueError if it is not a dict or naming the valid
+    keys if one of its keys is not a field of `cls`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
     d = dict(d)
     valid = sorted(f.name for f in fields(cls))
     unknown = sorted(set(d) - set(valid))
@@ -179,11 +196,9 @@ def cmd_pretrain(cfg, out_dir=None):
     out = out_dir or cfg.resolve_out()
     os.makedirs(out, exist_ok=True)
     toy = model_mod.ToyTransformer.create(cfg.model_config(), seed=cfg.seed)
-    curves = []
     total_steps = cfg.pretrain_repeat_steps + cfg.pretrain_steps
     toy, losses = model_mod.pretrain(toy, make_pretrain_stream(cfg), total_steps,
-                                     cfg.pretrain_lr, seed=cfg.seed,
-                                     log=lambda s, l: curves.append((s, l)))
+                                     cfg.pretrain_lr, seed=cfg.seed)
     ckpt = os.path.join(out, "model.pkv")
     storage.save_checkpoint(ckpt, toy)
     probe = eval_samples(cfg, n=16, seed=cfg.eval_seed + 900_000)
@@ -194,13 +209,13 @@ def cmd_pretrain(cfg, out_dir=None):
         "probe_seed": cfg.eval_seed + 900_000, "probe_n": 16,
         "final_eval_loss": final_eval_loss,
     })
-    storage.save_csv(os.path.join(out, "pretrain_curve.csv"), ["step", "loss"], curves)
+    storage.save_csv(os.path.join(out, "pretrain_curve.csv"), ["step", "loss"],
+                     enumerate(losses))
     return ckpt
 
 
 def probe_loss(toy, samples):
     """Mean answer-token cross-entropy on a fixed probe set."""
-    import prunekv.autodiff as ad
     total = 0.0
     for s in samples:
         rec = model_mod.forward_full(toy, s.tokens, len(s.ans_tokens))
@@ -220,7 +235,6 @@ def cmd_learn_mask(cfg, checkpoint, out_dir=None, alpha_in=None):
     curves = []
     if alpha_in is not None:
         alpha, _ = storage.load_alpha(alpha_in, toy.config)
-        spec = replace(spec, steps_stage1=0)
         losses1 = []
     else:
         alpha, losses1 = masking.stage1_train(toy, stream, spec)

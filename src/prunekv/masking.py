@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DivergenceError, Tensor
-from .model import answer_rows, build_masks, context_kv
+from .autodiff import Tensor
+from .model import answer_rows, build_masks, check_int, context_kv, is_real
 
 
 @dataclass(frozen=True)
@@ -31,21 +31,25 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr_stage2 is None:
+        if self.lr_stage2 is None and is_real(self.lr_stage1):
             object.__setattr__(self, "lr_stage2", self.lr_stage1 / 2)
         for name in ("lr_stage1", "lr_stage2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.steps_stage1 < 0 or self.steps_stage2 < 0:
-            raise ValueError("step counts must be >= 0")
-        if self.sink < 0 or self.window < 0:
-            raise ValueError(f"sink and window must be >= 0, got {self.sink} and {self.window}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        lo, hi = self.seq_len_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"seq_len_range must be (lo, hi) with 1 <= lo <= hi, "
-                             f"got {tuple(self.seq_len_range)}")
+            value = getattr(self, name)
+            if not (is_real(value) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if not (is_real(self.lam) and 0 <= self.lam < np.inf):
+            raise ValueError(f"lam must be a finite number >= 0, got {self.lam!r}")
+        for name in ("steps_stage1", "steps_stage2", "sink", "window", "seed"):
+            check_int(name, getattr(self, name), low=0)
+        check_int("batch", self.batch)
+        span = self.seq_len_range
+        if not isinstance(span, (list, tuple)) or len(span) != 2:
+            raise ValueError(f"seq_len_range must be a pair (lo, hi), got {span!r}")
+        for v in span:
+            check_int("seq_len_range", v)
+        if span[0] > span[1]:
+            raise ValueError(f"seq_len_range must be (lo, hi) with 1 <= lo <= hi, got {tuple(span)}")
+        object.__setattr__(self, "seq_len_range", tuple(span))
 
 
 @dataclass
@@ -86,6 +90,14 @@ def round_half_up(x):
     return np.floor(x + 0.5)
 
 
+def top_channels(scores, counts):
+    """0/1 bits keeping the `counts[..., h]` highest entries of each row
+    `scores[..., h, :]`, ties going to the lower index."""
+    order = np.argsort(-scores, axis=-1, kind="stable")  # by value desc, index asc
+    ranks = np.argsort(order, axis=-1)
+    return (ranks < np.asarray(counts)[..., None]).astype(np.uint8)
+
+
 def select_mask(scores, keep_ratio, r):
     """Global top-fraction selection with per-head alignment rounding.
 
@@ -101,26 +113,13 @@ def select_mask(scores, keep_ratio, r):
         raise ValueError(f"keep_ratio must be in [0, 1], got {keep_ratio}")
     if r < 1:
         raise ValueError(f"alignment must be >= 1, got {r}")
-    n_layers, n_heads, d = scores.shape
+    d = scores.shape[-1]
     if r > d:
         raise ValueError(f"alignment r={r} exceeds head dimension {d}")
-    total = scores.size
-    n_keep = int(round_half_up(keep_ratio * total))
-    flat = scores.reshape(-1)
-    order = np.lexsort((np.arange(total), -flat))  # by value desc, index asc
-    selected = np.zeros(total, dtype=bool)
-    selected[order[:n_keep]] = True
-    provisional = selected.reshape(scores.shape).sum(axis=-1)
-    d_cap = (d // r) * r
-    bits = np.zeros_like(scores, dtype=np.uint8)
-    for i in range(n_layers):
-        for j in range(n_heads):
-            n_aligned = min(int(round_half_up(provisional[i, j] / r)) * r, d_cap)
-            if n_aligned == 0:
-                continue
-            head_order = np.lexsort((np.arange(d), -scores[i, j]))
-            bits[i, j, head_order[:n_aligned]] = 1
-    return BinaryChannelMask(bits=bits, r=r, keep_ratio=keep_ratio)
+    n_keep = int(round_half_up(keep_ratio * scores.size))
+    provisional = top_channels(scores.reshape(-1), n_keep).reshape(scores.shape).sum(axis=-1)
+    n_aligned = np.minimum(round_half_up(provisional / r) * r, (d // r) * r)
+    return BinaryChannelMask(bits=top_channels(scores, n_aligned), r=r, keep_ratio=keep_ratio)
 
 
 def top_s_r(alpha, keep_ratio, r):
@@ -131,29 +130,28 @@ def top_s_r(alpha, keep_ratio, r):
 
 def stage1_loss(h_full, h_scaled, alpha, lam):
     """Squared-Frobenius distillation distance plus L1 shrinkage on alpha."""
-    h_full_data = h_full.data if isinstance(h_full, Tensor) else np.asarray(h_full)
-    if h_scaled.shape != h_full_data.shape:
-        raise ad.ShapeError(f"hidden state shapes differ: {h_full_data.shape} vs {h_scaled.shape}")
-    loss = ad.sum_squares(h_scaled - h_full_data)
+    h_full = np.asarray(h_full)
+    if h_scaled.shape != h_full.shape:
+        raise ad.ShapeError(f"hidden state shapes differ: {h_full.shape} vs {h_scaled.shape}")
+    loss = ad.sum_squares(h_scaled - h_full)
     if lam:
         loss = loss + lam * ad.l1_norm(alpha)
     return loss
 
 
-def _sample_lengths(rng, spec):
+def _distill_loss(model, task_stream, rng, spec, factors, lam, alpha):
+    """Distillation loss of one batch's answer rows under `factors`, with L1
+    weight `lam` on `alpha`. Teacher and student share one context pass: the
+    context rows are the same for both."""
     lo, hi = spec.seq_len_range
-    return int(rng.integers(lo, hi + 1))
-
-
-def _distill_step(model, batch, factors, masks, lam, alpha):
-    """Distillation loss of the answer rows, teacher and student sharing one
-    context pass: the context rows are the same for both."""
+    batch = task_stream(rng, int(rng.integers(lo, hi + 1)))
     tokens = np.stack([s.tokens for s in batch])
     n_ans = len(batch[0].ans_tokens)
+    masks = build_masks(tokens.shape[1] - n_ans, n_ans, spec.sink, spec.window)
     ctx = context_kv(model, tokens, n_ans)
     teacher = answer_rows(model, ctx, tokens, n_ans)
     student = answer_rows(model, ctx, tokens, n_ans, factors, masks)
-    return stage1_loss(teacher.data, student, alpha, lam)
+    return stage1_loss(teacher, student, alpha, lam)
 
 
 def stage1_train(model, task_stream, spec, log=None):
@@ -162,25 +160,10 @@ def stage1_train(model, task_stream, spec, log=None):
     `task_stream(rng, seq_len)` returns an equal-length batch for one step.
     Returns (alpha ndarray, per-step losses).
     """
-    model.set_trainable(False)
     alpha = Tensor(np.ones(model.config.factor_shape), requires_grad=True)
-    opt = ad.Adam([alpha], lr=spec.lr_stage1)
     rng = np.random.default_rng(spec.seed)
-    losses = []
-    for step in range(spec.steps_stage1):
-        batch = task_stream(rng, _sample_lengths(rng, spec))
-        n_ans = len(batch[0].ans_tokens)
-        n_ctx = len(batch[0].tokens) - n_ans
-        masks = build_masks(n_ctx, n_ans, spec.sink, spec.window)
-        loss = _distill_step(model, batch, alpha, masks, spec.lam, alpha)
-        if not np.isfinite(loss.data):
-            raise DivergenceError(step, float(loss.data))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
-        if log is not None:
-            log(step, losses[-1])
+    losses = ad.fit([alpha], spec.lr_stage1, spec.steps_stage1, lambda step: _distill_loss(
+        model, task_stream, rng, spec, alpha, spec.lam, alpha), log)
     return alpha.data.copy(), losses
 
 
@@ -190,25 +173,12 @@ def stage2_train(model, task_stream, alpha, keep_ratio, r, spec, log=None):
     The mask is recomputed from alpha every step; forward uses the mask,
     backward treats binarization as identity. Returns (beta, alpha, losses).
     """
-    model.set_trainable(False)
     alpha = Tensor(np.array(alpha, dtype=np.float64), requires_grad=True)
-    opt = ad.Adam([alpha], lr=spec.lr_stage2)
     rng = np.random.default_rng(spec.seed + 1)
-    losses = []
-    for step in range(spec.steps_stage2):
-        beta = top_s_r(alpha.data, keep_ratio, r)
-        batch = task_stream(rng, _sample_lengths(rng, spec))
-        n_ans = len(batch[0].ans_tokens)
-        n_ctx = len(batch[0].tokens) - n_ans
-        masks = build_masks(n_ctx, n_ans, spec.sink, spec.window)
-        ste = alpha + (beta.bits.astype(np.float64) - alpha.data)
-        loss = _distill_step(model, batch, ste, masks, 0.0, alpha)
-        if not np.isfinite(loss.data):
-            raise DivergenceError(step, float(loss.data))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(float(loss.data))
-        if log is not None:
-            log(step, losses[-1])
+
+    def step_loss(step):
+        bits = top_s_r(alpha.data, keep_ratio, r).bits.astype(np.float64)
+        return _distill_loss(model, task_stream, rng, spec, alpha + (bits - alpha.data), 0.0, alpha)
+
+    losses = ad.fit([alpha], spec.lr_stage2, spec.steps_stage2, step_loss, log)
     return top_s_r(alpha.data, keep_ratio, r), alpha.data.copy(), losses

@@ -28,6 +28,11 @@ def check_int(name, value, low=1):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+def is_real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_layers: int = 4
@@ -43,7 +48,7 @@ class ModelConfig:
         for name in ("n_layers", "n_q_heads", "n_kv_heads", "head_dim", "d_ff", "vocab_size",
                      "max_pos"):
             check_int(name, getattr(self, name))
-        if not isinstance(self.rope_base, numbers.Real) or not self.rope_base > 0:
+        if not is_real(self.rope_base) or not self.rope_base > 0:
             raise ValueError(f"rope_base must be a positive number, got {self.rope_base!r}")
         if self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be even, got {self.head_dim}")
@@ -152,7 +157,6 @@ class ForwardRecord:
 
     h_last: Tensor
     logits: Tensor
-    n_ans: int
 
 
 def _as_batch(config, tokens, n_ans):
@@ -229,7 +233,7 @@ def _forward(model, tokens, n_ans):
     if squeeze:
         h_last = h_last.reshape(n_ans, c.d_model)
         logits_out = logits_out.reshape(t, c.vocab_size)
-    return ForwardRecord(h_last=h_last, logits=logits_out, n_ans=n_ans)
+    return ForwardRecord(h_last=h_last, logits=logits_out)
 
 
 def context_kv(model, tokens, n_ans):
@@ -260,7 +264,9 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
     included, with their channels scaled by the head's factors. The factors
     scale q, as (a * q) . k = q . (a * k), so the graph holds no (T, T)
     tensor: its scores are (B, n_kv, g, n_ans, T). The weights are constants
-    here; only `factors` carries a gradient.
+    here; only `factors` carries a gradient. Without `factors` every step is
+    plain numpy and the result is an ndarray; with them the rows become
+    Tensors at the first factor product.
     """
     c = model.config
     t = tokens.shape[1]
@@ -289,8 +295,7 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
             s = s + ((q * factors[i].reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
         return ad.softmax(s, additive_mask=additive) @ ad.concat([v_ctx, v], axis=-2)
 
-    x = Tensor(w["tok_emb"][tokens[:, n_ctx:]])
-    return layers(w, c, x, n_ctx, _grouped(c, attend))
+    return layers(w, c, w["tok_emb"][tokens[:, n_ctx:]], n_ctx, _grouped(c, attend))
 
 
 def forward_full(model, tokens, n_ans):
@@ -309,12 +314,11 @@ def forward_scaled(model, tokens, n_ans, factors, masks):
     h_last = answer_rows(model, context_kv(model, tokens, n_ans), tokens, n_ans, factors, masks)
     if squeeze:
         h_last = h_last.reshape(n_ans, model.config.d_model)
-    return ForwardRecord(h_last=h_last, logits=None, n_ans=n_ans)
+    return ForwardRecord(h_last=h_last, logits=None)
 
 
-def _pretrain_step(model, opt, batch, step):
-    """One optimizer step on `batch`; returns the loss. The step's graph is
-    released on return, before the next step's forward."""
+def _pretrain_loss(model, batch):
+    """Mean cross-entropy of `batch`'s answer tokens under the model."""
     tokens = np.stack([np.concatenate([s.ctx_tokens, s.ans_tokens]) for s in batch])
     n_ans = len(batch[0].ans_tokens)
     n_ctx = tokens.shape[1] - n_ans
@@ -323,30 +327,18 @@ def _pretrain_step(model, opt, batch, step):
     # n_ctx-1 .. n_ctx+n_ans-2
     pred_rows = rec.logits[:, n_ctx - 1:tokens.shape[1] - 1, :]
     flat = pred_rows.reshape(len(batch) * n_ans, model.config.vocab_size)
-    loss = ad.cross_entropy(flat, tokens[:, n_ctx:].reshape(-1))
-    if not np.isfinite(loss.data):
-        raise ad.DivergenceError(step, float(loss.data))
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-    return float(loss.data)
+    return ad.cross_entropy(flat, tokens[:, n_ctx:].reshape(-1))
 
 
 def pretrain(model, task_stream, steps, lr, seed=0, log=None):
     """Cross-entropy next-token training on answer tokens only.
 
     `task_stream(rng)` must return a batch of samples with equal context and
-    answer lengths. Deterministic given the seed. Returns `model`.
+    answer lengths. Deterministic given the seed. Returns `(model, losses)`.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     rng = np.random.default_rng(seed)
     model.set_trainable(True)
-    opt = ad.Adam(model.parameters(), lr=lr)
-    losses = []
-    for step in range(steps):
-        losses.append(_pretrain_step(model, opt, task_stream(rng), step))
-        if log is not None:
-            log(step, losses[-1])
+    losses = ad.fit(model.parameters(), lr, steps,
+                    lambda step: _pretrain_loss(model, task_stream(rng)), log)
     model.set_trainable(False)
     return model, losses

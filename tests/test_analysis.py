@@ -121,6 +121,21 @@ def test_dynamic_norm_mask_per_head_budgets():
     assert beta.streaming_heads() == [(1, 1)]
 
 
+def test_dynamic_norm_mask_breaks_ties_to_the_lower_channel(monkeypatch):
+    # ratios with many equal values, so every budget cuts through a tie
+    ratios = np.tile([0.5, 0.0, 0.5, -0.0, 0.25, 0.5, 0.0, 0.25], 4).reshape(CFG.factor_shape)
+    monkeypatch.setattr(analysis, "channel_norm_ratios",
+                        lambda model, s, window: analysis.ChannelNormVector(ratios.reshape(-1), window))
+    toy = ToyTransformer.create(CFG, seed=8)
+    order = [0, 2, 5, 4, 7, 1, 3, 6]  # by ratio descending, then channel ascending
+    for budgets in ([[8, 4], [2, 0]], [[1, 3], [5, 6]]):
+        beta = analysis.dynamic_norm_mask(toy, sample(31), 0.5, q_window=4, budgets=budgets)
+        for (i, j), n in np.ndenumerate(np.array(budgets)):
+            assert np.flatnonzero(beta.bits[i, j]).tolist() == sorted(order[:n])
+    beta = analysis.dynamic_norm_mask(toy, sample(31), 0.5, q_window=4)
+    assert (beta.bits == np.isin(np.arange(8), order[:4])).all()
+
+
 def test_freq_profile_oracle_and_conservation():
     rng = np.random.default_rng(9)
     bits = (rng.uniform(size=(2, 2, 8)) < 0.5).astype(np.uint8)

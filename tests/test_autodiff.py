@@ -1,4 +1,6 @@
 """Gradient and optimizer checks against finite differences and hand math."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -137,10 +139,27 @@ def test_layer_ops_on_ndarrays_return_the_tensor_op_values():
     x = RNG.normal(size=(2, 5, 3, 8))
     w = RNG.normal(size=(8,))
     cos, sin = np.cos(RNG.normal(size=(5, 1, 4))), np.sin(RNG.normal(size=(5, 1, 4)))
-    for op, args in [(ad.rms_norm, (w,)), (ad.silu, ()), (ad.rope_rotate, (cos, sin))]:
+    mask = np.where(RNG.random(size=(3, 8)) < 0.3, ad.MASK_NEG, 0.0)
+    for op, args in [(ad.rms_norm, (w,)), (ad.silu, ()), (ad.rope_rotate, (cos, sin)),
+                     (ad.softmax, ()), (ad.softmax, (mask,))]:
         got = op(x, *args)
         assert type(got) is np.ndarray
         np.testing.assert_array_equal(got, op(Tensor(x), *args).data)
+    parts = [x, RNG.normal(size=(2, 5, 1, 8))]
+    got = ad.concat(parts, axis=-2)
+    assert type(got) is np.ndarray
+    np.testing.assert_array_equal(got, ad.concat([Tensor(p) for p in parts], axis=-2).data)
+
+
+def test_ndarray_on_the_left_dispatches_to_the_tensor():
+    a = RNG.normal(size=(3, 4))
+    t = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    for out, sign in [(a + t, 1.0), (a - t, -1.0), (a * t, a)]:
+        assert isinstance(out, Tensor)
+        t.grad = None
+        out.sum().backward()
+        np.testing.assert_array_equal(t.grad, np.broadcast_to(sign, a.shape))
+    np.testing.assert_array_equal((a + t).data, a + t.data)
 
 
 def test_embedding_grad():
@@ -337,3 +356,54 @@ def test_finite_difference_rejects_bad_eps():
 def test_divergence_error_carries_step():
     err = ad.DivergenceError(17, float("nan"))
     assert err.step == 17 and "17" in str(err)
+
+
+def test_fit_stops_before_the_step_whose_loss_is_not_finite():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    seen = []
+
+    def step_loss(step):
+        loss = ad.sum_squares(p)
+        return loss * float("nan") if step == 3 else loss
+
+    with pytest.raises(ad.DivergenceError) as err:
+        ad.fit([p], 0.1, 10, step_loss, log=lambda step, loss: seen.append((step, p.data.copy())))
+    assert err.value.step == 3
+    assert [s for s, _ in seen] == [0, 1, 2]
+    np.testing.assert_array_equal(p.data, seen[-1][1])  # as after step 2
+
+
+def test_fit_logs_each_step_and_matches_a_hand_written_adam_loop():
+    p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
+    logged = []
+    losses = ad.fit([p], 0.2, 6, lambda step: ad.sum_squares(p),
+                    log=lambda step, loss: logged.append((step, loss)))
+    assert logged == list(enumerate(losses)) and len(losses) == 6
+    q = Tensor(np.array([5.0, -3.0]), requires_grad=True)
+    opt = ad.Adam([q], lr=0.2)
+    want = []
+    for _ in range(6):
+        opt.zero_grad()
+        loss = ad.sum_squares(q)
+        loss.backward()
+        opt.step()
+        want.append(float(loss.data))
+    assert losses == want
+    np.testing.assert_array_equal(p.data, q.data)
+    with pytest.raises(ValueError, match="steps"):
+        ad.fit([p], 0.2, -1, lambda step: ad.sum_squares(p))
+    assert ad.fit([p], 0.2, 0, lambda step: ad.sum_squares(p)) == []
+
+
+def test_fit_releases_each_steps_graph_before_the_next():
+    p = Tensor(np.ones(4), requires_grad=True)
+    refs = []
+
+    def step_loss(step):
+        assert all(ref() is None for ref in refs)  # earlier steps' interior arrays are gone
+        hidden = p * 2.0
+        refs.append(weakref.ref(hidden.data))
+        return ad.sum_squares(hidden)
+
+    ad.fit([p], 0.1, 3, step_loss)
+    assert len(refs) == 3

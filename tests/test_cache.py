@@ -370,6 +370,10 @@ def test_memory_report_rejects_bad_sizes():
     for bpe in (0, -2):
         with pytest.raises(ValueError, match="bytes_per_element"):
             memory_report(ones, CFG, 16, 4, 8, bytes_per_element=bpe)
+    # a mask of another model's shape
+    for shape, config in [((1, 1, 16), ModelConfig()), ((2, 2, 4), CFG), ((3, 2, 8), CFG)]:
+        with pytest.raises(ValueError, match="mask shape"):
+            memory_report(BinaryChannelMask.all_ones(shape), config, 2048, 16, 64)
 
 
 def test_greedy_decode_checks_length_before_work(monkeypatch):

@@ -29,6 +29,30 @@ def test_select_with_ties_prefers_lower_index():
     np.testing.assert_array_equal(got.bits[0, 0], [1, 1, 1, 1, 0, 0, 0, 0])
 
 
+def brute_force_top(scores, counts):
+    """Per-row top `counts` channels by value, ties to the lower index."""
+    bits = np.zeros(scores.shape, dtype=np.uint8)
+    for idx in np.ndindex(scores.shape[:-1]):
+        ranked = sorted(range(scores.shape[-1]), key=lambda ch: (-scores[idx][ch], ch))
+        bits[idx][ranked[:counts[idx]]] = 1
+    return bits
+
+
+def test_top_channels_with_heavy_ties_and_signed_zeros():
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.choice([4, 8, 16])))
+        scores = rng.integers(-2, 3, size=shape).astype(np.float64)
+        scores[rng.random(size=shape) < 0.2] = -0.0
+        counts = rng.integers(0, shape[-1] + 1, size=shape[:-1])
+        np.testing.assert_array_equal(masking.top_channels(scores, counts),
+                                      brute_force_top(scores, counts))
+        r = int(rng.choice([1, 2, 4]))
+        keep = float(rng.choice([0.0, 0.25, 0.4, 0.5, 0.75, 1.0]))
+        np.testing.assert_array_equal(select_mask(scores, keep, r).bits,
+                                      helpers.brute_force_select(scores, keep, r))
+
+
 def test_select_worked_example_alignment_rounding():
     # head 0 wins 3 of the global top-8, head 1 wins 5; with r=4 both round to 4
     scores = np.zeros((1, 2, 8))

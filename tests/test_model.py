@@ -185,6 +185,9 @@ def test_scaled_answer_rows_match_full_sequence_oracle(n_ctx, n_ans, sink, windo
     np.testing.assert_allclose(got, oracle_h_last(alpha0), rtol=0, atol=1e-10)
 
     h_full = pm.forward_full(toy, tokens, n_ans).h_last.data
+    teacher = pm.answer_rows(toy, pm.context_kv(toy, tokens, n_ans), tokens, n_ans)
+    assert type(teacher) is np.ndarray  # the unscaled pass builds no graph
+    np.testing.assert_allclose(teacher, h_full, rtol=0, atol=1e-10)
     for lam in (0.0, 0.06):
         alpha = ad.Tensor(alpha0.copy(), requires_grad=True)
         masking.stage1_loss(h_full, pm.forward_scaled(toy, tokens, n_ans, alpha, masks).h_last,

@@ -2,13 +2,15 @@
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prunekv import cli, storage
-from prunekv.masking import BinaryChannelMask
+from prunekv.experiment import ExperimentConfig
+from prunekv.masking import BinaryChannelMask, TrainSpec
 from prunekv.model import ModelConfig, ToyTransformer
 
 CFG = ModelConfig(n_layers=1, n_q_heads=2, n_kv_heads=2, head_dim=8,
@@ -264,6 +266,11 @@ def test_experiment_config_round_trip():
     ("pretrain_lr", 0.0), ("pretrain_lr", -1.0), ("pretrain_lr", float("inf")),
     ("pretrain_lr", float("nan")), ("pretrain_lr", "fast"), ("whf_fraction", -0.1),
     ("whf_fraction", 2.0), ("eval_kind", "bogus"), ("eval_seq_len", 7), ("eval_seq_len", 2049),
+    ("prune_ratio", "x"), ("prune_ratio", None), ("seed", -1), ("seed", 1.5), ("eval_seed", "0"),
+    ("out_dir", 3), ("pretrain_seq_lens", []), ("pretrain_seq_lens", 64),
+    ("pretrain_seq_lens", [7]), ("pretrain_seq_lens", [64, 2049]), ("pretrain_seq_lens", [48, 64.5]),
+    ("repeat_len_range", [96, 24]), ("repeat_len_range", [4, 24]),
+    ("repeat_len_range", [24, 96, 128]), ("repeat_len_range", [24, 4096]),
 ])
 def test_experiment_config_rejects_bad_counts(field, value):
     from prunekv.experiment import ExperimentConfig
@@ -272,7 +279,63 @@ def test_experiment_config_rejects_bad_counts(field, value):
     # the edges of each range load; align may keep every channel of a head
     ExperimentConfig(align=16, pretrain_steps=0, pretrain_repeat_steps=0, whf_fraction=1.0,
                      eval_seq_len=2048)
-    ExperimentConfig(whf_fraction=0.0, eval_seq_len=8, eval_kind="niah_eval")
+    ExperimentConfig(whf_fraction=0.0, eval_seq_len=8, eval_kind="niah_eval",
+                     pretrain_seq_lens=[8, 2048], repeat_len_range=[8, 8], seed=0, eval_seed=0)
+
+
+@pytest.mark.parametrize("d, field", [
+    (5, "config"), ([1, 2], "config"), ({"model": 5}, "model"), ({"train": [1]}, "train"),
+    ({"train": {"lam": "x"}}, "lam"), ({"train": {"lam": -0.1}}, "lam"),
+    ({"train": {"lam": float("inf")}}, "lam"),
+    ({"train": {"lr_stage1": float("nan")}}, "lr_stage1"),
+    ({"train": {"lr_stage2": float("nan")}}, "lr_stage2"),
+    ({"train": {"lr_stage1": "fast"}}, "lr_stage1"),
+    ({"train": {"steps_stage1": 2.5}}, "steps_stage1"), ({"train": {"steps_stage2": True}}, "steps_stage2"),
+    ({"train": {"sink": 2.5}}, "sink"), ({"train": {"window": True}}, "window"),
+    ({"train": {"batch": 1.0}}, "batch"), ({"train": {"seed": "0"}}, "seed"),
+    ({"train": {"seq_len_range": 256}}, "seq_len_range"),
+    ({"train": {"seq_len_range": [256]}}, "seq_len_range"),
+    ({"train": {"seq_len_range": [256.0, 512]}}, "seq_len_range"),
+])
+def test_experiment_config_rejects_bad_sections_naming_the_field(d, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ExperimentConfig.from_dict(d)
+    # the edges load
+    ExperimentConfig(train={"lam": 0, "seq_len_range": [1, 1], "sink": 0, "window": 0})
+
+
+def test_cli_reports_bad_config_fields_without_a_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for bad, message in [({"prune_ratio": "x"}, "prune_ratio must be"),
+                         ([1, 2], "config must be a JSON object")]:
+        cfg_path.write_text(json.dumps(bad))
+        assert cli.main(["memory-report", str(tmp_path / "beta.pkv"),
+                         "--config", str(cfg_path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: " + message)
+
+
+def _fields(cls, values):
+    """Dicts over some fields of `cls`, each value from `values` or arbitrary JSON."""
+    return st.fixed_dictionaries({}, optional={f.name: values | JSON for f in fields(cls)})
+
+
+def config_dicts():
+    numbers = st.integers(-2, 2100) | st.floats(-1.0, 1.0) | st.sampled_from([0.5, 1e-3, 64])
+    lengths = st.lists(st.integers(-2, 2100), max_size=3)
+    top = {f.name: numbers | lengths | JSON for f in fields(ExperimentConfig)}
+    top["model"] = _fields(ModelConfig, st.integers(-1, 600)) | JSON
+    top["train"] = _fields(TrainSpec, numbers | lengths) | JSON
+    return st.fixed_dictionaries({}, optional=top) | JSON
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(config_dicts())
+def test_experiment_config_from_any_json_builds_or_raises_value_error(d):
+    try:
+        cfg = ExperimentConfig.from_dict(d)
+    except ValueError:
+        return
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_save_json_rejects_nan(tmp_path):
@@ -328,7 +391,8 @@ def decode_setup(tmp_path):
     storage.save_json(cfg_path, ExperimentConfig(
         model={"n_layers": 1, "n_q_heads": 2, "n_kv_heads": 2, "head_dim": 8,
                "d_ff": 16, "vocab_size": 32, "max_pos": 64},
-        train={"sink": 2, "window": 4}, eval_seq_len=64).to_dict())
+        train={"sink": 2, "window": 4}, eval_seq_len=64, pretrain_seq_lens=(48, 64),
+        repeat_len_range=(24, 64)).to_dict())
     return ["decode", str(ckpt), "--config", str(cfg_path)]
 
 
