@@ -197,6 +197,11 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """a @ b; ndarray rows times a 2-D ndarray run as one 2-D GEMM over all
+    leading rows, the same product as the Tensor path's `_matmul_2d` (numpy
+    would send (B, 1, k) @ (k, n) to B one-row products)."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and b.ndim == 2:
+        return (a.reshape(-1, b.shape[0]) @ b).reshape(*a.shape[:-1], b.shape[1])
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")

@@ -101,30 +101,25 @@ class PartitionedKVCache:
     positions below `sink` and every later position not yet migrated: the
     `pending` ones, then the window. The `mid_tokens` migrated positions are
     packed into two stores per layer, one column per position in order.
-    `k_mid[i]` (sum_j kept_ij, capacity) is channel-major: one row per
-    (head, kept channel) pair, in head order. `v_mid[i]` (n_kept_heads,
-    capacity, d) has one slab per non-streaming head. Streaming heads add no
-    rows to either. Stores grow by doubling along the position axis, so only
-    their leading positions are live; migration rebuilds the full store
-    without the rows it moved.
+    `k_mid[i]` (counts[i].sum(), capacity) is channel-major: one row per
+    kept (head, channel) bit of the mask, in head order. `v_mid[i]`
+    (n_kept_heads, capacity, d) has one slab per non-streaming head. A
+    streaming head, one whose mask row is all zeros, adds no rows to either.
+    Stores grow by doubling along the position axis, so only their leading
+    positions are live; migration rebuilds the full store without the rows
+    it moved.
     """
 
-    def __init__(self, config, beta, sink, window, migrate_every=DEFAULT_MIGRATE_EVERY,
-                 forced_streaming=()):
+    def __init__(self, config, beta, sink, window, migrate_every=DEFAULT_MIGRATE_EVERY):
         bits = np.asarray(beta.bits)
         if bits.shape != config.factor_shape:
             raise ValueError(f"mask shape {bits.shape} != model {config.factor_shape}")
         if sink < 0 or window < 0 or migrate_every < 1:
             raise ValueError(f"need sink >= 0, window >= 0 and migrate_every >= 1, "
                              f"got {sink}, {window} and {migrate_every}")
-        forced = set(forced_streaming)
-        self.streaming = [[not bits[i, j].any() or (i, j) in forced
-                           for j in range(config.n_kv_heads)] for i in range(config.n_layers)]
-        if sink + window == 0 and any(map(any, self.streaming)):
+        counts = self.counts = beta.kept_counts()  # (L, n_kv) kept channels per head
+        if sink + window == 0 and not counts.all():
             raise ValueError("streaming heads need sink + window >= 1 key to attend to")
-        self.kept_channels = [[np.empty(0, dtype=np.int64) if stream else np.flatnonzero(head)
-                               for head, stream in zip(bits[i], self.streaming[i])]
-                              for i in range(config.n_layers)]
         self.config, self.sink, self.window, self.migrate_every = config, sink, window, migrate_every
         self.seq_len = 0
         self.mid_tokens = 0  # positions migrated to the pruned stores
@@ -132,29 +127,20 @@ class PartitionedKVCache:
         full = (0, n_kv, d)
         self.k_full = [np.empty(full) for _ in range(config.n_layers)]
         self.v_full = [np.empty(full) for _ in range(config.n_layers)]
-        self.k_mid, self.v_mid = [], []
         # per-layer tables, fixed by the mask
-        self._k_gather = []  # flat (head * d + channel) of each k_mid row
+        self._k_gather = [np.flatnonzero(b) for b in bits]  # k_mid rows: flat head * d + channel
+        self._channel_mask = bits[:, :, None].astype(np.float64)  # (L, n_kv, 1, d)
+        self._streaming_heads = [np.flatnonzero(row == 0) for row in counts]
+        # v_mid's heads: a slice when no head streams, so a view
+        self._kept_heads = [slice(None) if row.all() else np.flatnonzero(row) for row in counts]
         self._q_scatter = []  # (into a flat block-diagonal q, from a flat q) per k_mid row and g
-        self._channel_mask = []  # (n_kv, 1, d): 1 on kept channels, 0 for streaming heads
-        self._streaming_heads = []
-        self._kept_heads = []  # v_mid's heads; a slice when no head streams, so a view
-        for i, kept in enumerate(self.kept_channels):
-            heads = np.repeat(np.arange(n_kv), [len(c) for c in kept])
-            channels = np.concatenate(kept)
+        for gather in self._k_gather:
+            heads, channels = np.divmod(gather, d)
             q_rows = heads * g + np.arange(g)[:, None]  # (g, rows): the q rows of each row's head
-            self._k_gather.append(heads * d + channels)
-            self._q_scatter.append(((q_rows * len(heads) + np.arange(len(heads))).ravel(),
+            self._q_scatter.append(((q_rows * len(gather) + np.arange(len(gather))).ravel(),
                                     (q_rows * d + channels).ravel()))
-            mask = np.zeros((n_kv, 1, d))
-            mask[heads, 0, channels] = 1.0
-            self._channel_mask.append(mask)
-            stream = np.flatnonzero(self.streaming[i])
-            self._streaming_heads.append(stream)
-            self._kept_heads.append(np.flatnonzero(np.logical_not(self.streaming[i]))
-                                    if len(stream) else slice(None))
-            self.k_mid.append(np.empty((len(heads), 0)))
-            self.v_mid.append(np.empty((n_kv - len(stream), 0, d)))
+        self.k_mid = [np.empty((len(gather), 0)) for gather in self._k_gather]
+        self.v_mid = [np.empty((np.count_nonzero(row), 0, d)) for row in counts]
 
     @property
     def pending(self):
@@ -162,15 +148,12 @@ class PartitionedKVCache:
         return max(0, self.seq_len - self.sink - self.window) - self.mid_tokens
 
     def stored_k_elements(self):
-        c = self.config
-        full = c.n_layers * c.n_kv_heads * c.head_dim * (self.seq_len - self.mid_tokens)
-        return full + self.mid_tokens * sum(len(kept) for row in self.kept_channels for kept in row)
+        return stored_elements(self.counts, self.config.head_dim, self.seq_len - self.mid_tokens,
+                               self.mid_tokens)[0]
 
     def stored_v_elements(self):
-        c = self.config
-        kept_heads = sum(not stream for row in self.streaming for stream in row)
-        return c.head_dim * (c.n_layers * c.n_kv_heads * (self.seq_len - self.mid_tokens)
-                             + kept_heads * self.mid_tokens)
+        return stored_elements(self.counts, self.config.head_dim, self.seq_len - self.mid_tokens,
+                               self.mid_tokens)[1]
 
     def _attend(self, i, q, k, v):
         """Layer i's attention for the newest token, at position seq_len - 1.
@@ -214,8 +197,7 @@ class PartitionedKVCache:
         return out.reshape(1, -1)
 
 
-def prefill_and_partition(model, beta, tokens, sink, window,
-                          migrate_every=DEFAULT_MIGRATE_EVERY, forced_streaming=()):
+def prefill_and_partition(model, beta, tokens, sink, window, migrate_every=DEFAULT_MIGRATE_EVERY):
     """Full causal attention prefill, then a cache partitioned by position.
 
     The middle positions [sink, len(tokens) - window) all migrate at once to
@@ -225,7 +207,7 @@ def prefill_and_partition(model, beta, tokens, sink, window,
     or token ids outside [0, vocab_size). Returns (cache, logits of the last
     prompt position).
     """
-    cache = PartitionedKVCache(model.config, beta, sink, window, migrate_every, forced_streaming)
+    cache = PartitionedKVCache(model.config, beta, sink, window, migrate_every)
     tokens = _check_tokens(tokens, model.config)
     layers, logits = np_forward(model.weights_numpy(), model.config, tokens, rows=1)
     cache.k_full = [k for k, _ in layers]  # every position full width, then migrate
@@ -274,8 +256,7 @@ def decode_step(model, cache, token):
 
 
 def greedy_decode(model, tokens, n_new, beta, sink, window,
-                  migrate_every=DEFAULT_MIGRATE_EVERY, forced_streaming=(),
-                  collect_logits=False, question=None):
+                  migrate_every=DEFAULT_MIGRATE_EVERY, collect_logits=False, question=None):
     """Prefill then greedily decode `n_new` tokens through the engine.
 
     `question` tokens, if given, are fed through the decode path after the
@@ -290,8 +271,7 @@ def greedy_decode(model, tokens, n_new, beta, sink, window,
     if total > model.config.max_pos:
         raise ValueError(f"prompt, question and n_new need {total} positions, "
                          f"more than max_pos {model.config.max_pos}")
-    cache, last_logits = prefill_and_partition(model, beta, tokens, sink, window,
-                                               migrate_every, forced_streaming)
+    cache, last_logits = prefill_and_partition(model, beta, tokens, sink, window, migrate_every)
     out, logit_trace = [], []
     logits = last_logits
     if question is not None:
@@ -320,6 +300,16 @@ class MemoryReport:
         return asdict(self)
 
 
+def stored_elements(counts, head_dim, full, mid):
+    """(K, V) elements a cache stores for `full` full-width positions and
+    `mid` pruned ones, given the kept channels per head `counts` (L, n_kv):
+    a pruned position keeps a head's kept K channels, and its V only for
+    heads that keep any."""
+    k = counts.size * head_dim * full + int(counts.sum()) * mid
+    v = head_dim * (counts.size * full + int(np.count_nonzero(counts)) * mid)
+    return k, v
+
+
 def memory_report(beta, config, seq_len, sink, window,
                   bytes_per_element=DEFAULT_BYTES_PER_ELEMENT):
     """Cache footprint of the pruned layout vs a full-width baseline."""
@@ -329,15 +319,10 @@ def memory_report(beta, config, seq_len, sink, window,
     c = config
     if beta.bits.shape != c.factor_shape:
         raise ValueError(f"mask shape {beta.bits.shape} != model factor shape {c.factor_shape}")
-    d = c.head_dim
-    counts = beta.kept_counts()
     mid = max(0, seq_len - sink - window)
-    full_width_tokens = seq_len - mid
-    baseline = c.n_layers * c.n_kv_heads * seq_len * d * bytes_per_element
-    k_pruned = (c.n_layers * c.n_kv_heads * full_width_tokens * d
-                + int(counts.sum()) * mid) * bytes_per_element
-    n_streaming = int((counts == 0).sum())
-    v_pruned = baseline - n_streaming * mid * d * bytes_per_element
+    k, v = stored_elements(beta.kept_counts(), c.head_dim, seq_len - mid, mid)
+    baseline = c.n_layers * c.n_kv_heads * seq_len * c.head_dim * bytes_per_element
+    k_pruned, v_pruned = k * bytes_per_element, v * bytes_per_element
     return MemoryReport(
         bytes_k_baseline=baseline,
         bytes_k_pruned=k_pruned,

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import analysis, cache, experiment, storage, tasks
+from .masking import BinaryChannelMask
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,18 +79,23 @@ def cmd_analyze(args):
         path = os.path.join(out, "freq_profile.csv")
         storage.save_csv(path, ["pair_index", "mean_retained"],
                          [[i, float(v)] for i, v in enumerate(prof)])
-    elif args.what == "whf":
+    else:  # whf; argparse rejects other values
         sample = experiment.calib_samples(cfg)[0]
         prof = analysis.high_freq_ratio(toy, sample)
         rows = [[i, j, float(prof.w_hf[i, j])]
                 for i in range(prof.w_hf.shape[0]) for j in range(prof.w_hf.shape[1])]
         path = os.path.join(out, "whf.csv")
         storage.save_csv(path, ["layer", "head", "w_hf"], rows)
-    else:
-        print(f"unknown analysis {args.what!r}", file=sys.stderr)
-        return EXIT_BAD_ARGS
     print(f"analysis written to {path}")
     return EXIT_OK
+
+
+def _parse_tokens(text):
+    try:
+        return np.array([int(x) for x in text.split(",")], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"--tokens must be comma-separated integer token ids, "
+                         f"got {text!r}") from None
 
 
 def cmd_decode(args):
@@ -98,10 +104,9 @@ def cmd_decode(args):
     if args.mask:
         beta, _ = storage.load_beta(args.mask, toy.config)
     else:
-        from .masking import BinaryChannelMask
         beta = BinaryChannelMask.all_ones(toy.config.factor_shape)
     if args.tokens:
-        prompt = np.array([int(x) for x in args.tokens.split(",")], dtype=np.int64)
+        prompt = _parse_tokens(args.tokens)
         n_new = args.n_new
     else:
         sample = experiment.eval_samples(cfg, n=1, seed=args.seed)[0]
@@ -175,7 +180,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (storage.StorageError, ValueError, FileNotFoundError) as e:
+    except (storage.StorageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

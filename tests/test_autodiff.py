@@ -141,7 +141,8 @@ def test_layer_ops_on_ndarrays_return_the_tensor_op_values():
     cos, sin = np.cos(RNG.normal(size=(5, 1, 4))), np.sin(RNG.normal(size=(5, 1, 4)))
     mask = np.where(RNG.random(size=(3, 8)) < 0.3, ad.MASK_NEG, 0.0)
     for op, args in [(ad.rms_norm, (w,)), (ad.silu, ()), (ad.rope_rotate, (cos, sin)),
-                     (ad.softmax, ()), (ad.softmax, (mask,))]:
+                     (ad.softmax, ()), (ad.softmax, (mask,)),
+                     (ad.matmul, (RNG.normal(size=(8, 6)),))]:
         got = op(x, *args)
         assert type(got) is np.ndarray
         np.testing.assert_array_equal(got, op(Tensor(x), *args).data)

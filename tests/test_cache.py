@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prunekv import cache, masking
+from prunekv import analysis, cache, experiment, masking, storage
 from prunekv.cache import (greedy_decode, memory_report, migrate_window, np_forward,
                            prefill_and_partition)
 from prunekv.masking import BinaryChannelMask
@@ -27,22 +27,22 @@ def random_beta(rng, r=2):
     return masking.select_mask(scores, keep, r)
 
 
-def assert_stores_hold(kv, toy, seq):
+def assert_stores_hold(kv, beta, toy, seq):
     """Layer 0 of the cache holds the K/V of `seq` where the position partition
     puts them: full width below the sink and from the first unmigrated
-    position on, pruned to the kept channels for the migrated middle. Layer
-    0's K/V depend only on token and position, so one full forward gives them."""
+    position on, pruned to `beta`'s kept channels for the migrated middle.
+    Layer 0's K/V depend only on token and position, so one full forward
+    gives them."""
     k, v = np_forward(toy.weights_numpy(), CFG, seq)[0][0]
     t, sink, mid = len(seq), kv.sink, kv.mid_tokens
     assert kv.seq_len == t
     full = np.r_[0:min(sink, t), sink + mid:t]
     np.testing.assert_allclose(kv.k_full[0][:len(full)], k[full], atol=1e-12)
     np.testing.assert_allclose(kv.v_full[0][:len(full)], v[full], atol=1e-12)
-    # packed middle: k_mid rows are (head, kept channel) pairs in head order,
-    # v_mid slabs the non-streaming heads; streaming heads have no rows
-    kept = kv.kept_channels[0]
-    heads = np.repeat(np.arange(CFG.n_kv_heads), [len(c) for c in kept])
-    channels, kept_heads = np.concatenate(kept), np.flatnonzero(np.logical_not(kv.streaming[0]))
+    # packed middle: k_mid rows are the mask's kept (head, channel) bits in
+    # head order, v_mid slabs the heads keeping any; streaming heads have no rows
+    heads, channels = np.nonzero(beta.bits[0])
+    kept_heads = np.flatnonzero(beta.bits[0].any(axis=-1))
     assert kv.k_mid[0].shape[0] == len(heads) and kv.v_mid[0].shape[0] == len(kept_heads)
     np.testing.assert_allclose(kv.k_mid[0][:, :mid], k[sink:sink + mid, heads, channels].T,
                                atol=1e-12)
@@ -155,20 +155,51 @@ def test_streaming_head_matches_sink_local_only_attention():
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
-def test_forced_streaming_equivalent_to_zeroed_head():
-    rng = np.random.default_rng(5)
-    toy = make_model(5)
-    prompt = rng.integers(0, CFG.vocab_size, size=32)
-    bits = np.ones(CFG.factor_shape, dtype=np.uint8)
-    bits[1, 0] = 0
-    zeroed = BinaryChannelMask(bits=bits, r=1, keep_ratio=0.75)
-    ones = BinaryChannelMask.all_ones(CFG.factor_shape)
-    a, ta, _ = greedy_decode(toy, prompt, 10, zeroed, 4, 8, collect_logits=True)
-    b, tb, _ = greedy_decode(toy, prompt, 10, ones, 4, 8, forced_streaming=[(1, 0)],
-                             collect_logits=True)
-    np.testing.assert_array_equal(a, b)
-    for x, y in zip(ta, tb):
-        np.testing.assert_allclose(x, y, atol=1e-12)
+def zero_heads(beta, heads):
+    """`beta` with the rows of `heads` [(layer, head), ...] set to zero: they stream."""
+    bits = beta.bits.copy()
+    for layer, head in heads:
+        bits[layer, head] = 0
+    return BinaryChannelMask(bits=bits, r=beta.r, keep_ratio=beta.keep_ratio)
+
+
+def test_whf_streaming_decodes_with_the_chosen_heads_zeroed(tmp_path, monkeypatch):
+    """whf_streaming decodes every sample as learned mode does with the
+    all-ones mask whose chosen heads' rows are zero, and still reports the
+    all-ones mask."""
+    cfg = experiment.ExperimentConfig(
+        model={"n_layers": 2, "n_q_heads": 4, "n_kv_heads": 2, "head_dim": 8, "d_ff": 32,
+               "vocab_size": 64, "max_pos": 128},
+        train={"sink": 2, "window": 8, "seq_len_range": (32, 48)}, whf_fraction=0.5,
+        eval_seq_len=48, eval_samples=4, calib_samples=2)
+    c = cfg.model_config()
+    toy = ToyTransformer.create(c, seed=5)
+    samples = experiment.eval_samples(cfg)
+    profile = analysis.high_freq_ratio(toy, experiment.calib_samples(cfg)[0])
+    chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction, "highest")
+    assert len(chosen) == 2
+    zeroed = zero_heads(BinaryChannelMask.all_ones(c.factor_shape), chosen)
+    decoded, original = [], cache.greedy_decode
+
+    def recorded(model, tokens, n_new, beta, *args, **kwargs):
+        out = original(model, tokens, n_new, beta, *args, **kwargs)
+        decoded.append((beta.bits.copy(), out[0].tolist(), out[2].stored_v_elements()))
+        return out
+
+    monkeypatch.setattr(cache, "greedy_decode", recorded)
+    ckpt = str(tmp_path / "model.pkv")
+    storage.save_checkpoint(ckpt, toy)
+    report = experiment.cmd_eval(cfg, ckpt, experiment.MODE_WHF_STREAMING,
+                                 out_dir=str(tmp_path), samples=samples)
+    whf, decoded = decoded, []
+    learned, _ = experiment.evaluate_mode(cfg, toy, experiment.MODE_LEARNED, samples, zeroed)
+    assert report["accuracy"] == learned
+    assert len(whf) == len(decoded) == len(samples)
+    for (bits, tokens, v_elements), (want_bits, want_tokens, want_v) in zip(whf, decoded):
+        np.testing.assert_array_equal(bits, zeroed.bits)
+        assert tokens == want_tokens and v_elements == want_v
+    assert report["mask"]["kept_counts"] == [[c.head_dim] * c.n_kv_heads] * c.n_layers
+    assert report["mask"]["streaming_heads"] == []
 
 
 @st.composite
@@ -178,29 +209,30 @@ def decode_layouts(draw):
     return dict(prompt_len=draw(st.integers(1, 16)), sink=draw(st.integers(0, 6)),
                 window=draw(st.integers(0, 10)), n_new=n_new,
                 migrate_every=draw(st.integers(1, n_new + 1)), seed=draw(st.integers(0, 2 ** 16)),
-                forced=sorted(draw(st.sets(heads, max_size=2))))
+                zeroed=sorted(draw(st.sets(heads, max_size=2))))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@example(dict(prompt_len=2, sink=4, window=8, n_new=12, migrate_every=1, seed=0, forced=[]))
+@example(dict(prompt_len=2, sink=4, window=8, n_new=12, migrate_every=1, seed=0, zeroed=[]))
 @given(decode_layouts())
 def test_engine_matches_reference_on_any_layout(layout):
     """Sink and window from 0, prompts shorter than the sink, any migration
-    batch up to n_new + 1 and forced streaming heads decode as the reference."""
+    batch up to n_new + 1 and heads streaming by a zeroed mask row decode as
+    the reference, which is told those heads stream."""
     rng = np.random.default_rng(layout["seed"])
     toy = make_model(layout["seed"] % 3)
     prompt = rng.integers(0, CFG.vocab_size, size=layout["prompt_len"])
     beta = random_beta(rng)
-    args = (toy, prompt, layout["n_new"], beta, layout["sink"], layout["window"],
-            layout["migrate_every"], layout["forced"])
-    if layout["sink"] + layout["window"] == 0 and (layout["forced"] or beta.streaming_heads()):
+    args = (toy, prompt, layout["n_new"], zero_heads(beta, layout["zeroed"]), layout["sink"],
+            layout["window"], layout["migrate_every"])
+    if layout["sink"] + layout["window"] == 0 and (layout["zeroed"] or beta.streaming_heads()):
         with pytest.raises(ValueError, match="streaming heads"):
             greedy_decode(*args)
         return
     got, trace, _ = greedy_decode(*args, collect_logits=True)
     want, want_trace = helpers.reference_greedy_decode(
         toy.weights_numpy(), CFG, prompt, layout["n_new"], beta.bits, layout["sink"],
-        layout["window"], streaming=layout["forced"])
+        layout["window"], streaming=layout["zeroed"])
     np.testing.assert_array_equal(got, want)
     for a, b in zip(trace, want_trace):
         np.testing.assert_allclose(a, b, atol=1e-8)
@@ -228,12 +260,12 @@ def test_prefill_partition_counts():
     assert logits.shape == (CFG.vocab_size,)
     assert kv.mid_tokens == 40 - 4 - 8 and kv.pending == 0
     counts = beta.kept_counts()
+    np.testing.assert_array_equal(kv.counts, counts)
     for i in range(CFG.n_layers):
-        assert [len(kept) for kept in kv.kept_channels[i]] == counts[i].tolist()
         assert kv.k_mid[i].shape[0] == counts[i].sum()
         assert kv.v_mid[i].shape[0] == (counts[i] > 0).sum()
         assert kv.v_mid[i].shape[2] == CFG.head_dim
-    assert_stores_hold(kv, toy, prompt)  # the first 28 rows of each middle store
+    assert_stores_hold(kv, beta, toy, prompt)  # the first 28 rows of each middle store
 
 
 def test_short_prompt_leaves_pruned_store_empty():
@@ -242,7 +274,7 @@ def test_short_prompt_leaves_pruned_store_empty():
     beta = random_beta(np.random.default_rng(8))
     kv, _ = prefill_and_partition(toy, beta, prompt, sink=4, window=8)
     assert kv.mid_tokens == 0 and kv.pending == 0
-    assert_stores_hold(kv, toy, prompt)
+    assert_stores_hold(kv, beta, toy, prompt)
 
 
 def test_migration_threshold_and_conservation():
@@ -258,12 +290,12 @@ def test_migration_threshold_and_conservation():
         logits = cache.decode_step(toy, kv, seq[-1])
         assert kv.mid_tokens == mid0  # below the migration batch size
         assert kv.pending == step + 1
-    assert_stores_hold(kv, toy, seq)
+    assert_stores_hold(kv, beta, toy, seq)
     seq = np.append(seq, np.argmax(logits))
     cache.decode_step(toy, kv, seq[-1])
     assert kv.mid_tokens == mid0 + 16
     assert kv.pending == 0
-    assert_stores_hold(kv, toy, seq)  # 40 prompt + 16 decoded, none lost or duplicated
+    assert_stores_hold(kv, beta, toy, seq)  # 40 prompt + 16 decoded, none lost or duplicated
 
 
 def test_migrate_window_noop_below_threshold():
@@ -329,14 +361,17 @@ def test_memory_report_consistent_with_stored_cache():
     rep = memory_report(beta, CFG, kv.seq_len, 4, 8, bytes_per_element=2)
     assert kv.stored_k_elements() * 2 == rep.bytes_k_pruned
     assert kv.stored_v_elements() * 2 == rep.bytes_v_pruned
+    counts = [kv.stored_k_elements(), kv.stored_v_elements(), rep.bytes_k_pruned,
+              rep.bytes_v_pruned, rep.bytes_k_baseline]
+    assert all(type(n) is int for n in counts)  # reports are written as JSON
 
 
-@pytest.mark.parametrize("forced", [[], [(1, 0)]])
-def test_live_store_elements_equal_stored_counts(forced):
+@pytest.mark.parametrize("zeroed", [[], [(1, 0)]])
+def test_live_store_elements_equal_stored_counts(zeroed):
     """`stored_k_elements`/`stored_v_elements`, which the memory claims rest
     on, count exactly the live elements of the four stores, before and after
     migrations. Layer 0 has a head keeping all d channels and one keeping 2;
-    layer 1 has a streaming head, and with `forced` every head streams."""
+    layer 1 has a streaming head, and with `zeroed` every head streams."""
     toy = make_model(12)
     bits = np.zeros(CFG.factor_shape, dtype=np.uint8)
     bits[0, 0] = 1
@@ -344,9 +379,9 @@ def test_live_store_elements_equal_stored_counts(forced):
     bits[1, 0, ::2] = 1
     beta = BinaryChannelMask(bits=bits, r=1, keep_ratio=0.5)
     prompt = np.random.default_rng(12).integers(0, CFG.vocab_size, size=20)
-    kv, logits = prefill_and_partition(toy, beta, prompt, sink=2, window=3, migrate_every=4,
-                                       forced_streaming=forced)
-    assert sum(kv.streaming[1]) == 1 + len(forced)
+    kv, logits = prefill_and_partition(toy, zero_heads(beta, zeroed), prompt, sink=2, window=3,
+                                       migrate_every=4)
+    assert (kv.counts[1] == 0).sum() == 1 + len(zeroed)
 
     def live(stores_full, stores_mid):
         rows, mid = kv.seq_len - kv.mid_tokens, kv.mid_tokens
@@ -424,5 +459,5 @@ def test_question_tokens_decode_through_cache():
                                collect_logits=True)
     np.testing.assert_array_equal(a, b)
     seq = np.concatenate([prompt, a])
-    assert_stores_hold(kv_a, toy, seq)
-    assert_stores_hold(kv_b, toy, seq)
+    assert_stores_hold(kv_a, ones, toy, seq)
+    assert_stores_hold(kv_b, ones, toy, seq)

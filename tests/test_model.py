@@ -199,6 +199,21 @@ def test_scaled_answer_rows_match_full_sequence_oracle(n_ctx, n_ans, sink, windo
         assert rel.max() < 1e-4  # the criterion-2 bound
 
 
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_unit_factor_student_equals_teacher_bit_for_bit(batch):
+    """At unit factors the student scores every key as the teacher does, so
+    its rows equal the teacher's exactly, at any batch. With one answer token
+    this needs the ndarray rows' weight products to be one 2-D GEMM, as the
+    Tensor path's are; (B, 1, k) @ (k, n) would run as B one-row products."""
+    c = ModelConfig()
+    toy = ToyTransformer.create(c, seed=0)
+    tokens = np.random.default_rng(batch).integers(0, c.vocab_size, size=(batch, 200))
+    ctx = pm.context_kv(toy, tokens, 1)
+    student = pm.answer_rows(toy, ctx, tokens, 1, np.ones(c.factor_shape),
+                             build_masks(199, 1, sink=16, window=64))
+    np.testing.assert_array_equal(student.data, pm.answer_rows(toy, ctx, tokens, 1))
+
+
 def test_gqa_matches_replicated_mha():
     gqa_cfg = ModelConfig(n_layers=1, n_q_heads=4, n_kv_heads=2, head_dim=4,
                           d_ff=16, vocab_size=32, max_pos=64)

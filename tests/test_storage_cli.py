@@ -1,4 +1,6 @@
 """On-disk format round-trips, corruption handling, and CLI behavior."""
+import contextlib
+import io
 import json
 import os
 import struct
@@ -435,3 +437,74 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
         assert cli.main(decode) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: " + message) and valid in err
+
+
+def test_cli_directory_paths_exit_1_with_an_error_line(tmp_path, capsys):
+    decode = decode_setup(tmp_path)
+    beta_path = tmp_path / "beta.pkv"
+    storage.save_beta(beta_path, BinaryChannelMask.all_ones(CFG.factor_shape), CFG)
+    for argv in (["decode", str(tmp_path)], decode + ["--mask", str(tmp_path)],
+                 ["memory-report", str(tmp_path)],
+                 ["memory-report", str(beta_path), "--config", str(tmp_path)]):
+        assert cli.main(argv) == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """Paths for the CLI fuzzer, by role: each valid file of its kind, plus
+    a missing path, a directory and files of the wrong kind."""
+    root = tmp_path_factory.mktemp("cli")
+    args = decode_setup(root)
+    ckpt, cfg = args[1], args[3]
+    beta = str(root / "beta.pkv")
+    bits = np.zeros(CFG.factor_shape, dtype=np.uint8)
+    bits[0, 0, :4] = 1  # head (0, 1) streams
+    storage.save_beta(beta, BinaryChannelMask(bits=bits, r=4, keep_ratio=0.25), CFG)
+    (root / "empty").write_bytes(b"")
+    (root / "garbage").write_bytes(b"\x00\xffnot a file of any kind")
+    storage.save_json(root / "list.json", [1, 2])
+    bad = [str(root / "missing.pkv"), str(root), str(root / "empty"), str(root / "garbage"),
+           str(root / "list.json")]
+    return {"checkpoint": [ckpt, beta, cfg] + bad, "mask": [beta, ckpt, cfg] + bad,
+            "config": [cfg, ckpt, beta] + bad}
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    def maybe(flag, values):
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    def path(role):  # the valid file half the time
+        return st.just(paths[role][0]) | st.sampled_from(paths[role][1:])
+
+    beyond_int64 = st.integers(2 ** 63, 2 ** 70) | st.integers(-2 ** 70, -2 ** 63 - 1)
+    ids = st.lists(st.integers(0, CFG.vocab_size - 1) | st.integers() | beyond_int64,
+                   min_size=1, max_size=8).map(lambda xs: ",".join(map(str, xs)))
+    numbers = st.integers(-3, 80).map(str) | st.integers().map(str) | st.text(max_size=6)
+    config = maybe("--config", path("config"))
+    if draw(st.booleans()):
+        return (["decode", draw(path("checkpoint"))] + config + maybe("--mask", path("mask"))
+                + maybe("--tokens", ids | st.text(max_size=12)) + maybe("--n-new", numbers))
+    return (["memory-report", draw(path("mask"))] + config + maybe("--seq-len", numbers)
+            + maybe("--bytes-per-element", numbers))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_decode_and_memory_report_fuzz(cli_paths, data):
+    """Any argv of these shapes exits 0, 1 with one `error:` line, or 2 from
+    argparse: never a traceback."""
+    argv = data.draw(cli_argvs(cli_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_BAD_ARGS), argv
+    if code == cli.EXIT_OK:
+        assert err.getvalue() == "" and out.getvalue()
+    elif code == cli.EXIT_ERROR:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == "", argv
