@@ -1,13 +1,13 @@
 """Deployment-path inference through a partitioned, channel-pruned key cache.
 
 `np_forward` (prefill) and `decode_step` run the model's one layer body,
-`model.layers`, on numpy rows and differ only in the attention step. Keys
-below `sink` and in the last `window` positions are used full width, all
-others through their head's kept channels; keys leaving the window are
-migrated to pruned stores in batches, a pure storage event. Each layer
-packs its pruned middle into one channel-major K store holding every head's
-kept channels and one V store, so a decode step scores and reads the middle
-of all heads with one matmul each. Heads with zero kept channels are
+`model.layers`, on numpy rows and differ only in the attention step. Keys in
+a query's middle (`middle_end`, the one region rule) are used through their
+head's kept channels, all others full width; keys leaving the window are
+migrated to pruned stores in batches, a pure storage event. Each layer packs
+its pruned middle into one channel-major K store holding every head's kept
+channels and one V store, so a decode step scores and reads the middle of
+all heads with one matmul each. Heads with zero kept channels are
 streaming heads: their middle K and V are dropped and they attend only to
 sink + window.
 """
@@ -25,6 +25,12 @@ DEFAULT_BYTES_PER_ELEMENT = 2  # fp16 deployment accounting
 PREFILL_BLOCK = 64  # query rows per prefill block; fastest of 32/64/128/256
 _DIAGONAL_MASK = np.where(np.tril(np.ones((PREFILL_BLOCK, PREFILL_BLOCK), dtype=bool)),
                           0.0, ad.MASK_NEG)
+
+
+def middle_end(n, sink, window):
+    """The one region rule: a query that sees `n` keys has the middle
+    [sink, end); the others are its sink and local window."""
+    return max(sink, n - window)
 
 
 def _check_tokens(tokens, config):
@@ -145,7 +151,7 @@ class PartitionedKVCache:
     @property
     def pending(self):
         """Positions that have left the window but are still stored full width."""
-        return max(0, self.seq_len - self.sink - self.window) - self.mid_tokens
+        return middle_end(self.seq_len, self.sink, self.window) - self.sink - self.mid_tokens
 
     def stored_k_elements(self):
         return stored_elements(self.counts, self.config.head_dim, self.seq_len - self.mid_tokens,
@@ -158,13 +164,13 @@ class PartitionedKVCache:
     def _attend(self, i, q, k, v):
         """Layer i's attention for the newest token, at position seq_len - 1.
 
-        Stores its k, v, then scores every key by position: full width in
-        the sink and window, through the head's kept channels in the middle
-        (migrated or pending), and not at all in the middle for streaming
-        heads. Every head goes through each numpy call at once: pending keys
-        are scored with q * mask, since (q * m) . k = q[kept] . k[kept], and
-        the migrated middle by one GEMM of a block-diagonal q, whose row for
-        a q head holds its kept channels under its KV head's k_mid rows.
+        Stores its k, v, then scores every key by its region (`middle_end`):
+        through the head's kept channels in the middle (migrated or
+        pending), not at all there for streaming heads, full width
+        elsewhere. Every head goes through each numpy call at once: pending
+        keys are scored with q * mask, since (q * m) . k = q[kept] . k[kept],
+        and the migrated middle by one GEMM of a block-diagonal q, whose row
+        for a q head holds its kept channels under its KV head's k_mid rows.
         """
         c = self.config
         n_kv, n_q, d = c.n_kv_heads, c.n_q_heads, c.head_dim
@@ -200,11 +206,11 @@ class PartitionedKVCache:
 def prefill_and_partition(model, beta, tokens, sink, window, migrate_every=DEFAULT_MIGRATE_EVERY):
     """Full causal attention prefill, then a cache partitioned by position.
 
-    The middle positions [sink, len(tokens) - window) all migrate at once to
-    the pruned stores; the others stay full width, so a prompt shorter than
-    sink + window leaves the pruned stores empty. Raises ValueError for a
-    mask of the wrong shape, a negative sink or window, `migrate_every` < 1,
-    or token ids outside [0, vocab_size). Returns (cache, logits of the last
+    The last position's middle (`middle_end`) migrates at once to the pruned
+    stores; the others stay full width, so a prompt shorter than sink +
+    window leaves the pruned stores empty. Raises ValueError for a mask of
+    the wrong shape, a negative sink or window, `migrate_every` < 1, or
+    token ids outside [0, vocab_size). Returns (cache, logits of the last
     prompt position).
     """
     cache = PartitionedKVCache(model.config, beta, sink, window, migrate_every)
@@ -319,7 +325,7 @@ def memory_report(beta, config, seq_len, sink, window,
     c = config
     if beta.bits.shape != c.factor_shape:
         raise ValueError(f"mask shape {beta.bits.shape} != model factor shape {c.factor_shape}")
-    mid = max(0, seq_len - sink - window)
+    mid = middle_end(seq_len, sink, window) - sink
     k, v = stored_elements(beta.kept_counts(), c.head_dim, seq_len - mid, mid)
     baseline = c.n_layers * c.n_kv_heads * seq_len * c.head_dim * bytes_per_element
     k_pruned, v_pruned = k * bytes_per_element, v * bytes_per_element

@@ -61,6 +61,8 @@ def cmd_analyze(args):
     out = args.out or cfg.resolve_out()
     os.makedirs(out, exist_ok=True)
     toy = storage.load_checkpoint(args.checkpoint)
+    if args.what != "freq-profile":  # the others draw samples from the config
+        experiment.check_model(cfg, toy)
     if args.what == "staticity":
         by_label = {k: experiment.eval_samples(cfg, n=cfg.calib_samples,
                                                seed=cfg.eval_seed + 1000 * i, kind=k)
@@ -109,6 +111,7 @@ def cmd_decode(args):
         prompt = _parse_tokens(args.tokens)
         n_new = args.n_new
     else:
+        experiment.check_model(cfg, toy)
         sample = experiment.eval_samples(cfg, n=1, seed=args.seed)[0]
         prompt = sample.ctx_tokens
         n_new = args.n_new or len(sample.ans_tokens)

@@ -190,6 +190,16 @@ def calib_samples(cfg):
     return eval_samples(cfg, n=cfg.calib_samples, seed=cfg.eval_seed + 500_000)
 
 
+def check_model(cfg, toy):
+    """ValueError naming the fields in which the checkpoint model `toy`
+    differs from `cfg`'s model, for which the config draws samples."""
+    have, want = asdict(toy.config), asdict(cfg.model_config())
+    diff = [f"{k} {have[k]!r} (config {want[k]!r})" for k in want if have[k] != want[k]]
+    if diff:
+        raise ValueError(f"the checkpoint's model differs from the config's in {', '.join(diff)}; "
+                         f"pass the --config it was trained with")
+
+
 def cmd_pretrain(cfg, out_dir=None):
     """Pretrain the toy model; writes checkpoint + a seed/loss log."""
     out = out_dir or cfg.resolve_out()
@@ -300,6 +310,7 @@ def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None, samples=None):
     out = out_dir or cfg.resolve_out()
     os.makedirs(out, exist_ok=True)
     toy = storage.load_checkpoint(checkpoint)
+    check_model(cfg, toy)  # samples, calibration and report all come from the config
     beta = storage.load_beta(mask_path, toy.config)[0] if mask_path else None
     if samples is None:
         samples = eval_samples(cfg)

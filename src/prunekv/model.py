@@ -4,15 +4,15 @@ Supports standard causal attention, the region-scaled attention used while
 learning channel importance, and a pretraining mode so the model actually
 performs retrieval before pruning. Region scaling changes only the answer
 rows (they see the sink + local window full-width and a per-channel-scaled
-middle region), so the scaled pass runs just those rows, through Tensor ops,
-against the keys and values of one plain-numpy context pass. One layer body,
-`layers`, runs every pass: pretraining and mask learning on Tensors, prefill
-and decode (`cache`) on ndarrays.
+middle, split by `cache.middle_end`), so the scaled pass runs just those
+rows, through Tensor ops, against the keys and values of one plain-numpy
+context pass. One layer body, `layers`, runs every pass: pretraining and
+mask learning on Tensors, prefill and decode (`cache`) on ndarrays.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +68,15 @@ class ModelConfig:
         return (self.n_layers, self.n_kv_heads, self.head_dim)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttentionRegionMasks:
-    """Boolean region predicates over (query position, key position)."""
+    """The sink/window split of a context/answer sequence; `answer_rows`
+    derives each answer row's regions from it by `cache.middle_end`."""
 
     n_ctx: int
     n_ans: int
     sink: int
     window: int
-    s_plus_l: np.ndarray = field(repr=False, default=None)
-    mid: np.ndarray = field(repr=False, default=None)
 
     @property
     def total(self):
@@ -85,17 +84,10 @@ class AttentionRegionMasks:
 
 
 def build_masks(n_ctx, n_ans, sink, window):
-    """Causal, sink+local, and middle region masks for a context/answer split."""
+    """The region split for a context/answer sequence, checked."""
     if sink + window > n_ctx:
         raise ValueError(f"sink+window = {sink + window} exceeds context length {n_ctx}")
-    t = n_ctx + n_ans
-    q = np.arange(t)[:, None]
-    k = np.arange(t)[None, :]
-    causal = k <= q
-    s_plus_l = causal & ((k < sink) | (q - k < window))
-    mid = causal & ~s_plus_l
-    return AttentionRegionMasks(n_ctx=n_ctx, n_ans=n_ans, sink=sink, window=window,
-                                s_plus_l=s_plus_l, mid=mid)
+    return AttentionRegionMasks(n_ctx=n_ctx, n_ans=n_ans, sink=sink, window=window)
 
 
 def param_shapes(config):
@@ -261,17 +253,20 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
 
     Without `factors` attention is plain causal. With `factors` (L, n_kv, d)
     it is region-scaled by `masks` (from `build_masks`): keys in a row's
-    sink and window score at full width, all other keys, answer keys
-    included, with their channels scaled by the head's factors. The factors
-    scale q, as (a * q) . k = q . (a * k), so the graph holds no (T, T)
-    tensor: its scores are (B, n_kv, g, n_ans, T). The weights are constants
-    here; only `factors` carries a gradient. Without `factors` every step is
-    plain numpy and the result is an ndarray; with them the rows become
-    Tensors at the first factor product.
+    middle (`cache.middle_end`), answer keys included, score with their
+    channels scaled by the head's factors, all other keys at full width.
+    The factors scale q, as (a * q) . k = q . (a * k), so the graph holds no
+    (T, T) array: its scores and region masks are (B, n_kv, g, n_ans, T)
+    and (n_ans, T). The weights are constants here; only `factors` carries a
+    gradient. Without `factors` every step is plain numpy and the result is
+    an ndarray; with them the rows become Tensors at the first factor
+    product.
     """
     c = model.config
     t = tokens.shape[1]
     n_ctx, d = t - n_ans, c.head_dim
+    pos, seen = np.arange(t), np.arange(n_ctx + 1, t + 1)  # answer row n - 1 sees n keys
+    causal = pos < seen[:, None]
     if factors is not None:
         if masks is None:
             raise ValueError("scaled forward requires region masks")
@@ -281,12 +276,13 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
             factors = Tensor(factors)
         if factors.shape != c.factor_shape:
             raise ad.ShapeError(f"factors shape {factors.shape} != {c.factor_shape}")
-        f_sl = masks.s_plus_l[n_ctx:] / np.sqrt(d)
-        f_mid = masks.mid[n_ctx:] / np.sqrt(d)
+        end = np.array([cache.middle_end(n, masks.sink, masks.window) for n in seen])
+        mid = (pos >= masks.sink) & (pos < end[:, None])
+        f_sl, f_mid = (causal & ~mid) / np.sqrt(d), mid / np.sqrt(d)
     else:
         f_sl = 1.0 / np.sqrt(d)
     w = model.weights_numpy()
-    additive = np.where(np.arange(t) <= np.arange(n_ctx, t)[:, None], 0.0, MASK_NEG)
+    additive = np.where(causal, 0.0, MASK_NEG)
 
     def attend(i, q, k, v):
         k_ctx, v_ctx = ctx[i]

@@ -34,6 +34,13 @@ def ref_silu(x):
     return x / (1.0 + np.exp(-x))
 
 
+def ref_full_key(p, k, sink, window):
+    """Whether the query at position p scores the key at position k <= p at
+    full width: k is in the sink or the local window. Other keys are its
+    middle."""
+    return (k < sink) | (p - k < window)
+
+
 def reference_forward(weights, config, tokens, prompt_len=None, bits=None,
                       sink=0, window=0, streaming=()):
     """Token-by-token stateless forward pass; returns logits (T, vocab).
@@ -63,7 +70,7 @@ def reference_forward(weights, config, tokens, prompt_len=None, bits=None,
         attn_out = np.zeros((t, c.n_q_heads * d))
         for p in range(t):
             key_pos = np.arange(p + 1)
-            full_key = (key_pos < sink) | (p - key_pos < window)
+            full_key = ref_full_key(p, key_pos, sink, window)
             for qh in range(c.n_q_heads):
                 kv = qh // g
                 keys, vals = k[:p + 1, kv], v[:p + 1, kv]
@@ -105,7 +112,7 @@ def reference_scaled_forward(weights, config, tokens, n_ans, factors, sink, wind
     t, d, g = len(tokens), c.head_dim, c.group_size
     pos = np.arange(t)
     causal = pos[None, :] <= pos[:, None]
-    full_key = (pos[None, :] < sink) | (pos[:, None] - pos[None, :] < window)
+    full_key = ref_full_key(pos[:, None], pos[None, :], sink, window)
     scaled_key = causal & ~full_key & (pos[:, None] >= t - n_ans)
     x = weights["tok_emb"][tokens]
     layers = []

@@ -338,17 +338,21 @@ def test_memory_report_oracle():
     bits[:, :, :8] = 1
     bits[0, 0] = 0  # one streaming head
     beta = BinaryChannelMask(bits=bits, r=8, keep_ratio=0.5)
-    seq_len, sink, window, bpe = 512, 16, 48, 2
-    mid = seq_len - sink - window
-    rep = memory_report(beta, c, seq_len, sink, window, bpe)
-    baseline = 2 * 4 * seq_len * 16 * bpe
-    k_pruned = (2 * 4 * (sink + window) * 16 + int(bits.sum(axis=-1).sum()) * mid) * bpe
-    assert rep.bytes_k_baseline == rep.bytes_v_baseline == baseline
-    assert rep.bytes_k_pruned == k_pruned
-    # v saving is exactly streaming_fraction * mid/seq_len
-    f = 1 / 8
-    assert np.isclose(rep.v_reduction_fraction, f * mid / seq_len, rtol=1e-12)
-    assert np.isclose(rep.k_reduction_fraction, 1.0 - k_pruned / baseline, rtol=1e-12)
+    sink, window, bpe = 16, 48, 2
+    # seq_len = sink + window and seq_len < sink have no middle
+    for seq_len, want_mid in [(512, 448), (64, 0), (10, 0)]:
+        # the last position's middle keys, by the oracle's rule
+        mid = sum(not helpers.ref_full_key(seq_len - 1, k, sink, window) for k in range(seq_len))
+        assert mid == want_mid
+        rep = memory_report(beta, c, seq_len, sink, window, bpe)
+        baseline = 2 * 4 * seq_len * 16 * bpe
+        k_pruned = (2 * 4 * (seq_len - mid) * 16 + int(bits.sum(axis=-1).sum()) * mid) * bpe
+        assert rep.bytes_k_baseline == rep.bytes_v_baseline == baseline
+        assert rep.bytes_k_pruned == k_pruned
+        # v saving is exactly streaming_fraction * mid/seq_len
+        f = 1 / 8
+        assert np.isclose(rep.v_reduction_fraction, f * mid / seq_len, rtol=1e-12)
+        assert np.isclose(rep.k_reduction_fraction, 1.0 - k_pruned / baseline, rtol=1e-12)
 
 
 def test_memory_report_consistent_with_stored_cache():

@@ -154,26 +154,41 @@ def test_stage1_loss_value_and_shape_error():
         masking.stage1_loss(hf, ad.Tensor(rng.normal(size=(2, 5))), alpha, 0.06)
 
 
-def test_stage1_step_memory_bound_at_t1024():
-    # one stage-1 step at T=1024 on the default model: the graph covers only
-    # the answer rows and the numpy context pass is row-blocked (about 20 MiB
-    # traced peak; 84 MiB with a full (n_kv, g, T, T) context score buffer);
-    # a graph over every row took 5.7 GB
+def _stage1_step_peak(seq_len):
+    """(losses, tracemalloc peak bytes) of one default stage-1 step on a
+    random-token sample of `seq_len` tokens, two of them the answer."""
     toy = pm.ToyTransformer.create(pm.ModelConfig(), seed=0)
 
     def stream(rng, seq_len):
         tok = rng.integers(0, toy.config.vocab_size, size=seq_len)
         return [tasks.TaskSample(ctx_tokens=tok[:-2], ans_tokens=tok[-2:], query_key=0)]
 
-    spec = TrainSpec(steps_stage1=1, seq_len_range=(1024, 1024))
+    spec = TrainSpec(steps_stage1=1, seq_len_range=(seq_len, seq_len))
     tracemalloc.start()
     try:
         _, losses = masking.stage1_train(toy, stream, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return losses, peak
+
+
+def test_stage1_step_memory_bound_at_t1024():
+    # one stage-1 step at T=1024 on the default model: the graph covers only
+    # the answer rows and the numpy context pass is row-blocked (about 17 MiB
+    # traced peak; 84 MiB with a full (n_kv, g, T, T) context score buffer);
+    # a graph over every row took 5.7 GB
+    losses, peak = _stage1_step_peak(1024)
     assert np.isfinite(losses).all()
     assert peak < 256 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+
+
+def test_stage1_step_memory_bound_at_t2048():
+    # at the default max_pos the step's traced peak is about 34 MiB; (T, T)
+    # boolean region masks for the answer rows' scaling took it to 42 MiB
+    losses, peak = _stage1_step_peak(2048)
+    assert np.isfinite(losses).all()
+    assert peak < 36 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def _tiny_setup():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import prunekv.autodiff as ad
-from prunekv import masking, model as pm, tasks
+from prunekv import cache, masking, model as pm, tasks
 from prunekv.model import ModelConfig, ToyTransformer, build_masks, rope_angles
 
 import helpers
@@ -83,21 +83,46 @@ def test_rope_rotate_tensor_matches_numpy():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def regions(masks, p):
+    """(full-width keys, middle keys) of the query at position p under the
+    split `masks`, by the package's one region rule."""
+    middle = set(range(masks.sink, cache.middle_end(p + 1, masks.sink, masks.window)))
+    return set(range(p + 1)) - middle, middle
+
+
+def oracle_regions(p, sink, window):
+    full = {k for k in range(p + 1) if helpers.ref_full_key(p, k, sink, window)}
+    return full, set(range(p + 1)) - full
+
+
 def test_build_masks_hand_example():
     m = build_masks(n_ctx=8, n_ans=2, sink=2, window=3)
-    q = 9
-    sl_keys = set(np.where(m.s_plus_l[q])[0])
-    mid_keys = set(np.where(m.mid[q])[0])
-    assert sl_keys == {0, 1, 7, 8, 9}
-    assert mid_keys == {2, 3, 4, 5, 6}
+    assert (m.n_ctx, m.n_ans, m.sink, m.window, m.total) == (8, 2, 2, 3, 10)
+    assert regions(m, 9) == oracle_regions(9, 2, 3) == ({0, 1, 7, 8, 9}, {2, 3, 4, 5, 6})
 
 
 def test_build_masks_partition_causal():
     m = build_masks(n_ctx=20, n_ans=4, sink=3, window=5)
-    assert not (m.s_plus_l & m.mid).any()
-    np.testing.assert_array_equal(m.s_plus_l | m.mid, np.tril(np.ones((24, 24), dtype=bool)))
+    full, mid = np.zeros((24, 24), dtype=bool), np.zeros((24, 24), dtype=bool)
+    for p in range(m.total):
+        keys = regions(m, p)
+        assert keys == oracle_regions(p, 3, 5)
+        full[p, list(keys[0])], mid[p, list(keys[1])] = True, True
+    assert not (full & mid).any()
+    np.testing.assert_array_equal(full | mid, np.tril(np.ones((24, 24), dtype=bool)))
     with pytest.raises(ValueError):
         build_masks(n_ctx=6, n_ans=1, sink=4, window=4)
+
+
+def test_middle_end_matches_the_oracle_rule():
+    # a query that sees n keys, sink and window 0..8, n below the sink included
+    for n in range(41):
+        for sink in range(9):
+            for window in range(9):
+                end = cache.middle_end(n, sink, window)
+                middle = {k for k in range(n) if not helpers.ref_full_key(n - 1, k, sink, window)}
+                assert set(range(sink, end)) == middle, (n, sink, window)
+                assert type(end) is int and sink <= end <= max(sink, n)
 
 
 def test_forward_full_matches_loop_reference():
@@ -123,15 +148,15 @@ def test_scaled_with_zero_factors_zeroes_mid_logits():
                     d_ff=8, vocab_size=32, max_pos=64)
     toy = ToyTransformer.create(c, seed=5)
     tokens = np.random.default_rng(5).integers(0, c.vocab_size, size=13)
-    masks = build_masks(n_ctx=12, n_ans=1, sink=2, window=3)
     # unit factors give the full pass; its first layer's post-RoPE q and k
     _, _, full_layers = helpers.reference_scaled_forward(
         toy.weights_numpy(), c, tokens, 1, np.ones(c.factor_shape), sink=2, window=3)
     q, k, _ = full_layers[0]  # (n_heads, T, d)
     row = 12
+    full = helpers.ref_full_key(row, np.arange(13), sink=2, window=3)
     logits = q[0, row] @ k[0].T / 2.0  # scale 1/sqrt(4)
     expect = logits.copy()
-    expect[np.where(masks.mid[row, :13])[0]] = 0.0
+    expect[~full] = 0.0
     p_expect = np.exp(expect) / np.exp(expect).sum()
 
     _, _, scaled_layers = helpers.reference_scaled_forward(
@@ -140,7 +165,7 @@ def test_scaled_with_zero_factors_zeroes_mid_logits():
     # first layer q/k identical to the full pass; recompute the scaled row
     np.testing.assert_allclose(qs, q, rtol=1e-12)
     ls = qs[0, row] @ ks[0].T / 2.0
-    ls_masked = ls * masks.s_plus_l[row, :13]  # mid term vanishes when factors are 0
+    ls_masked = ls * full  # mid term vanishes when factors are 0
     p_got = np.exp(ls_masked) / np.exp(ls_masked).sum()
     np.testing.assert_allclose(p_got, p_expect, rtol=1e-10)
 

@@ -419,6 +419,27 @@ def test_cli_decode_rejects_bad_input(tmp_path, capsys, args, message):
     assert "tokens:" not in captured.out
 
 
+@pytest.mark.parametrize("command, runs", [
+    (["decode"], True), (["eval", "--mode", "full"], True), (["analyze", "whf"], True),
+    # at vocab 32 dense_retrieval stops at 23 tokens, short of staticity's 64-row window
+    (["analyze", "staticity"], False),
+])
+def test_cli_commands_that_draw_samples_need_the_checkpoint_model(tmp_path, capsys, command,
+                                                                   runs):
+    """A command that feeds the checkpoint samples drawn from the config
+    exits 1 naming the model fields that differ; given the config of the
+    checkpoint's model, it runs."""
+    decode = decode_setup(tmp_path)  # a CFG checkpoint and a config with CFG's model
+    argv = command[:1] + [decode[1], "--out", str(tmp_path)] + command[1:]
+    assert cli.main(argv) == cli.EXIT_ERROR  # the default config's model is ModelConfig()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the checkpoint's model differs from the config's in ")
+    assert "n_layers 1 (config 4)" in captured.err and "max_pos 64 (config 2048)" in captured.err
+    assert "rope_base" not in captured.err and captured.out == ""
+    if runs:
+        assert cli.main(argv + ["--config", decode[3]]) == cli.EXIT_OK
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     storage.save_json(cfg_path, {"prune_ratoi": 0.5})

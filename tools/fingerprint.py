@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Bit-identity fingerprint of pretraining and mask learning.
+"""Bit-identity fingerprint of pretraining, mask learning and inference.
 
 Pretrains the toy model for 12 copying and 4 retrieval steps, runs 4
 stage-1 and 2 stage-2 mask-learning steps, and prints every loss as its
 `repr` plus the sha256 of the trained parameters and of both stages' alpha.
-Two trees that print the same bytes train the same weights and factors bit
-for bit. Run from the repository root, before and after a change:
+Then, on the trained model, it prints the sha256 of the logits of a greedy
+decode through the partitioned cache, with the all-ones mask and with the
+stage-2 mask with head (0, 0) streaming, and of each `cmd_eval` report file
+of a 4-sample eval in every mode. Two trees that print the same bytes train
+the same weights and factors and decode and report the same, bit for bit.
+Run from the repository root, before and after a change:
 
     PYTHONPATH=src python tools/fingerprint.py > before.txt
 
@@ -13,11 +17,15 @@ for bit. Run from the repository root, before and after a change:
 """
 import argparse
 import hashlib
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 
-from prunekv import experiment, masking, model
+from prunekv import cache, experiment, masking, model, storage
+
+PROMPT_LEN, N_NEW = 96, 40  # the decode crosses one migration batch of 32
 
 TINY = dict(model=dict(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=32,
                        vocab_size=512, max_pos=256),
@@ -45,11 +53,33 @@ def main(argv=None):
                                  seed=cfg.seed)
     stream = experiment.make_mask_stream(cfg)  # one stream for both stages, as cmd_learn_mask
     alpha1, stage1 = masking.stage1_train(toy, stream, spec)
-    _, alpha2, stage2 = masking.stage2_train(toy, stream, alpha1, cfg.keep_ratio, cfg.align, spec)
+    beta, alpha2, stage2 = masking.stage2_train(toy, stream, alpha1, cfg.keep_ratio, cfg.align,
+                                                spec)
     for name, losses in [("pretrain", pretrain), ("stage1", stage1), ("stage2", stage2)]:
         print(f"{name} losses: {' '.join(map(repr, losses))}")
     print(f"params sha256: {sha256(toy.weights_numpy())}")
     print(f"alpha sha256: stage1 {sha256({'alpha': alpha1})} stage2 {sha256({'alpha': alpha2})}")
+
+    bits = beta.bits.copy()
+    bits[0, 0] = 0
+    masks = {"ones": masking.BinaryChannelMask.all_ones(bits.shape),
+             "streaming": masking.BinaryChannelMask(bits=bits, r=beta.r, keep_ratio=beta.keep_ratio)}
+    prompt = experiment.eval_samples(cfg, n=1)[0].tokens[:PROMPT_LEN]
+    hashes = []
+    for name, mask in masks.items():
+        _, logits, _ = cache.greedy_decode(toy, prompt, N_NEW, mask, spec.sink, spec.window,
+                                           cfg.migrate_every, collect_logits=True)
+        hashes.append(f"{name} {sha256({'logits': np.stack(logits)})}")
+    print(f"decode logits sha256: {' '.join(hashes)}")
+    eval_cfg = replace(cfg, eval_samples=4)  # out_dir, part of the reports' config hash, stays
+    with tempfile.TemporaryDirectory() as out:
+        ckpt, mask_path = os.path.join(out, "model.pkv"), os.path.join(out, "beta.pkv")
+        storage.save_checkpoint(ckpt, toy)
+        storage.save_beta(mask_path, beta, toy.config)
+        for mode in experiment.EVAL_MODES:
+            experiment.cmd_eval(eval_cfg, ckpt, mode, mask_path=mask_path, out_dir=out)
+            with open(os.path.join(out, f"report_{mode}.json"), "rb") as f:
+                print(f"report_{mode}.json sha256: {hashlib.sha256(f.read()).hexdigest()}")
 
 
 if __name__ == "__main__":
