@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 MASK_NEG = -1e30  # additive-mask value for keys a query must not see
+RMS_EPS = 1e-6  # added to the mean square before RMSNorm's square root
 
 
 class ShapeError(ValueError):
@@ -68,8 +69,7 @@ class Tensor:
     def backward(self):
         """Backpropagate from a scalar loss.
 
-        Accumulates into ``.grad`` of every requires-grad leaf and returns a
-        map from ``id(leaf)`` to each such leaf's gradient array. An interior
+        Accumulates into ``.grad`` of every requires-grad leaf. An interior
         node's ``.grad`` is dropped (set to None) as soon as the node has
         passed it on to its parents, so only one layer's gradients are alive
         at a time.
@@ -96,7 +96,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None
-        return {id(t): t.grad for t in topo if t.requires_grad and not t._parents}
 
     # operator sugar; implementations below
     def __add__(self, other):
@@ -315,17 +314,17 @@ def sum_squares(a):
 # return the plain result when given ndarrays, so one layer body serves
 # Tensors and plain numpy.
 
-def softmax_(z, axis=-1):
-    """Softmax along `axis`, normalised in place in `z`, which is returned."""
-    z -= z.max(axis=axis, keepdims=True)
+def softmax_(z):
+    """Softmax over the last axis, normalised in place in `z`, which is returned."""
+    z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
-def rms_norm_fwd(x, w, eps=1e-6):
+def rms_norm_fwd(x, w):
     """(x / RMS(x) * w over the last axis, 1 / RMS(x) with that axis kept)."""
-    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + RMS_EPS)
     return x * inv * w, inv
 
 
@@ -335,7 +334,7 @@ def silu_fwd(x):
     return x * s, s
 
 
-def rope_angles(head_dim, positions, base=10000.0):
+def rope_angles(head_dim, positions, base):
     """(cos, sin) tables of shape (len(positions), head_dim // 2)."""
     if head_dim % 2 != 0:
         raise ValueError(f"head_dim must be even, got {head_dim}")
@@ -353,19 +352,19 @@ def rotate_half(x, cos, sin):
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def softmax(a, additive_mask=None, axis=-1):
-    """Softmax along `axis`; `additive_mask` is added to the logits first.
+def softmax(a, additive_mask=None):
+    """Softmax over the last axis; `additive_mask` is added to the logits first.
 
     Masked-out positions should carry a large negative value in the mask
     (selection semantics), never a multiplicative zero.
     """
     if isinstance(a, np.ndarray):
-        return softmax_(a.copy() if additive_mask is None else a + additive_mask, axis)
+        return softmax_(a.copy() if additive_mask is None else a + additive_mask)
     a = _lift(a)
-    p = softmax_(a.data.copy() if additive_mask is None else a.data + additive_mask, axis)
+    p = softmax_(a.data.copy() if additive_mask is None else a.data + additive_mask)
 
     def bwd(g):
-        _accum(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
+        _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
     return _node(p, (a,), bwd)
 
@@ -407,13 +406,13 @@ def attention(q, k, v, scale, additive_mask):
     return _node((p.reshape(*rows, tk) @ v2).reshape(q.shape), (q, k, v), bwd)
 
 
-def rms_norm(x, weight, eps=1e-6):
+def rms_norm(x, weight):
     """RMS-normalize over the last axis, then scale elementwise by `weight`."""
     if isinstance(x, np.ndarray):
-        return rms_norm_fwd(x, weight, eps)[0]
+        return rms_norm_fwd(x, weight)[0]
     x, weight = _lift(x), _lift(weight)
     n = x.shape[-1]
-    out_data, inv = rms_norm_fwd(x.data, weight.data, eps)
+    out_data, inv = rms_norm_fwd(x.data, weight.data)
 
     def bwd(g):
         if x.requires_grad:
@@ -512,12 +511,13 @@ class Adam:
     """Adam with bias correction over a list of Tensors; the moment buffers
     are updated in place and each parameter's ``.data`` is replaced."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -528,7 +528,7 @@ class Adam:
         for p, g in zip(self.params, grads):
             if p.shape != g.shape:
                 raise ShapeError(f"param shape {p.shape} != grad shape {g.shape}")
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         self.t += 1
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m *= b1
@@ -537,7 +537,7 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def zero_grad(self):
         for p in self.params:

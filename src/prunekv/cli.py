@@ -56,27 +56,40 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _staticity_samples(cfg):
+    """calib_samples samples of every task kind, or ValueError naming a kind
+    whose samples are shorter than the query window of the norm ratios."""
+    by_kind = {k: experiment.eval_samples(cfg, n=cfg.calib_samples, seed=cfg.eval_seed + 1000 * i,
+                                          kind=k) for i, k in enumerate(tasks.KINDS)}
+    for kind, samples in by_kind.items():
+        n = min(len(s.tokens) for s in samples)
+        if n < analysis.DEFAULT_OBS_WINDOW:
+            raise ValueError(f"{kind} samples are {n} tokens at eval_seq_len {cfg.eval_seq_len} "
+                             f"and vocab_size {cfg.model_config().vocab_size}, shorter than "
+                             f"staticity's {analysis.DEFAULT_OBS_WINDOW}-row query window")
+    return by_kind
+
+
 def cmd_analyze(args):
     cfg = _load_config(args)
     out = args.out or cfg.resolve_out()
-    os.makedirs(out, exist_ok=True)
     toy = storage.load_checkpoint(args.checkpoint)
-    if args.what != "freq-profile":  # the others draw samples from the config
+    if args.what == "freq-profile":
+        if not args.mask:
+            print("freq-profile needs --mask", file=sys.stderr)
+            return EXIT_BAD_ARGS
+        beta, _ = storage.load_beta(args.mask, toy.config)
+    else:  # the others draw samples from the config
         experiment.check_model(cfg, toy)
+    by_kind = _staticity_samples(cfg) if args.what == "staticity" else None
+    os.makedirs(out, exist_ok=True)  # after the checks, before the forward passes
     if args.what == "staticity":
-        by_label = {k: experiment.eval_samples(cfg, n=cfg.calib_samples,
-                                               seed=cfg.eval_seed + 1000 * i, kind=k)
-                    for i, k in enumerate(tasks.KINDS)}
-        labels, mat, _ = analysis.staticity_matrix(toy, by_label)
+        labels, mat, _ = analysis.staticity_matrix(toy, by_kind)
         rows = [[labels[i], labels[j], float(mat[i, j])]
                 for i in range(len(labels)) for j in range(len(labels))]
         path = os.path.join(out, "staticity.csv")
         storage.save_csv(path, ["label_a", "label_b", "pearson"], rows)
     elif args.what == "freq-profile":
-        if not args.mask:
-            print("freq-profile needs --mask", file=sys.stderr)
-            return EXIT_BAD_ARGS
-        beta, _ = storage.load_beta(args.mask, toy.config)
         prof = analysis.freq_profile(beta)
         path = os.path.join(out, "freq_profile.csv")
         storage.save_csv(path, ["pair_index", "mean_retained"],
@@ -174,7 +187,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("mask")
     p.add_argument("--seq-len", type=int, default=2048)
-    p.add_argument("--bytes-per-element", type=int, default=2)
+    p.add_argument("--bytes-per-element", type=int, default=cache.DEFAULT_BYTES_PER_ELEMENT)
     p.set_defaults(func=cmd_memory_report)
     return parser
 

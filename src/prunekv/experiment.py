@@ -28,7 +28,7 @@ class ExperimentConfig:
     train: dict = field(default_factory=dict)  # TrainSpec overrides
     prune_ratio: float = 0.5
     align: int = 4
-    migrate_every: int = 32
+    migrate_every: int = cache.DEFAULT_MIGRATE_EVERY
     seed: int = 0
     out_dir: str = "runs/default"
     # pretraining: a copying phase that induces content-based lookup, then
@@ -231,17 +231,16 @@ def probe_loss(toy, samples):
 def cmd_learn_mask(cfg, checkpoint, out_dir=None, alpha_in=None):
     """Run both training stages; persists alpha, beta, and loss curves."""
     out = out_dir or cfg.resolve_out()
-    os.makedirs(out, exist_ok=True)
     toy = storage.load_checkpoint(checkpoint)
+    check_model(cfg, toy)  # both stages draw their batches from the config
+    alpha = storage.load_alpha(alpha_in, toy.config)[0] if alpha_in is not None else None
+    os.makedirs(out, exist_ok=True)  # after the checks, before minutes of training
     spec = cfg.train_spec()
     stream = make_mask_stream(cfg)
-    curves = []
-    if alpha_in is not None:
-        alpha, _ = storage.load_alpha(alpha_in, toy.config)
-        losses1 = []
-    else:
+    losses1 = []
+    if alpha is None:
         alpha, losses1 = masking.stage1_train(toy, stream, spec)
-    curves += [("stage1", i, l) for i, l in enumerate(losses1)]
+    curves = [("stage1", i, l) for i, l in enumerate(losses1)]
     beta, alpha2, losses2 = masking.stage2_train(toy, stream, alpha, cfg.keep_ratio,
                                                  cfg.align, spec)
     curves += [("stage2", i, l) for i, l in enumerate(losses2)]
@@ -305,15 +304,14 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
     return float(np.mean(scores)), beta if report_beta is None else report_beta
 
 
-def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None, samples=None):
+def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None):
     """Evaluate one cache policy and write a RunReport."""
     out = out_dir or cfg.resolve_out()
-    os.makedirs(out, exist_ok=True)
     toy = storage.load_checkpoint(checkpoint)
     check_model(cfg, toy)  # samples, calibration and report all come from the config
     beta = storage.load_beta(mask_path, toy.config)[0] if mask_path else None
-    if samples is None:
-        samples = eval_samples(cfg)
+    os.makedirs(out, exist_ok=True)
+    samples = eval_samples(cfg)
     accuracy, eff_beta = evaluate_mode(cfg, toy, mode, samples, beta)
     spec = cfg.train_spec()
     report = {"mode": mode, "accuracy": accuracy, "n_samples": len(samples),
@@ -331,7 +329,7 @@ def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None, samples=None):
     return report
 
 
-def cmd_memory_report(cfg, mask_path, seq_len, bytes_per_element=2):
+def cmd_memory_report(cfg, mask_path, seq_len, bytes_per_element):
     beta, meta = storage.load_beta(mask_path)
     c = model_mod.ModelConfig(n_layers=meta["n_layers"], n_kv_heads=meta["n_kv_heads"],
                               n_q_heads=meta["n_kv_heads"], head_dim=meta["head_dim"])

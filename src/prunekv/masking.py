@@ -82,8 +82,8 @@ class BinaryChannelMask:
         return float(self.bits.mean())
 
     @classmethod
-    def all_ones(cls, shape, r=1):
-        return cls(bits=np.ones(shape, dtype=np.uint8), r=r, keep_ratio=1.0)
+    def all_ones(cls, shape):
+        return cls(bits=np.ones(shape, dtype=np.uint8), r=1, keep_ratio=1.0)
 
 
 def round_half_up(x):
@@ -122,10 +122,7 @@ def select_mask(scores, keep_ratio, r):
     return BinaryChannelMask(bits=top_channels(scores, n_aligned), r=r, keep_ratio=keep_ratio)
 
 
-def top_s_r(alpha, keep_ratio, r):
-    """Convert continuous factors to an aligned binary mask."""
-    alpha = alpha.data if isinstance(alpha, Tensor) else alpha
-    return select_mask(alpha, keep_ratio, r)
+top_s_r = select_mask  # the paper's name for turning learned factors into the mask
 
 
 def stage1_loss(h_full, h_scaled, alpha, lam):

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SEP_TOKEN = 1
+VALUES_PER_KEY = 2  # multi_value answers
+FILLER_RATIO = 0.3  # multi_value's share of filler
 
 DENSE_RETRIEVAL = "dense_retrieval"
 MULTI_VALUE = "multi_value"
@@ -40,9 +42,6 @@ class TokenRanges:
 class TaskSpec:
     kind: str = DENSE_RETRIEVAL
     seq_len: int = 256
-    n_pairs: int = 0  # 0 = fill the context
-    values_per_key: int = 2
-    filler_ratio: float = 0.3
     seed: int = 0
     vocab_size: int = 512
 
@@ -70,11 +69,7 @@ def gen_dense_retrieval(spec):
     rng = np.random.default_rng(spec.seed)
     ranges = TokenRanges.for_vocab(spec.vocab_size)
     max_pairs = (spec.seq_len - 3) // 2  # room for [SEP, key] probe and the answer
-    n_pairs = spec.n_pairs or min(max_pairs, len(ranges.keys), len(ranges.values))
-    if n_pairs > max_pairs:
-        raise ValueError(f"{n_pairs} pairs do not fit in seq_len {spec.seq_len}")
-    if n_pairs > len(ranges.keys) or n_pairs > len(ranges.values):
-        raise ValueError(f"{n_pairs} pairs exceed the key/value token ranges")
+    n_pairs = min(max_pairs, len(ranges.keys), len(ranges.values))
     keys = rng.choice(np.asarray(ranges.keys), size=n_pairs, replace=False)
     values = rng.choice(np.asarray(ranges.values), size=n_pairs, replace=False)
     probe = int(rng.integers(n_pairs))
@@ -89,21 +84,14 @@ def gen_dense_retrieval(spec):
 
 
 def gen_multi_value(spec):
-    """Keys bound to several values, interleaved with filler distraction."""
-    if spec.values_per_key < 2:
-        raise ValueError("values_per_key must be >= 2")
+    """Keys bound to VALUES_PER_KEY values each, with FILLER_RATIO of the
+    room left as filler distraction around the groups."""
     rng = np.random.default_rng(spec.seed)
     ranges = TokenRanges.for_vocab(spec.vocab_size)
-    m = spec.values_per_key
-    group_len = 1 + m
+    m = VALUES_PER_KEY
     budget = spec.seq_len - 2 - m  # room for [SEP, key] probe and the answer
-    n_filler = int(budget * spec.filler_ratio)
-    max_groups = (budget - n_filler) // group_len
-    n_groups = spec.n_pairs or min(max_groups, len(ranges.keys), len(ranges.values) // m)
-    if n_groups < 1 or n_groups > max_groups:
-        raise ValueError(f"{n_groups} key groups do not fit in seq_len {spec.seq_len}")
-    if n_groups > len(ranges.keys) or n_groups * m > len(ranges.values):
-        raise ValueError("key/value ranges too small for spec")
+    n_filler = int(budget * FILLER_RATIO)
+    n_groups = min((budget - n_filler) // (1 + m), len(ranges.keys), len(ranges.values) // m)
     keys = rng.choice(np.asarray(ranges.keys), size=n_groups, replace=False)
     values = rng.choice(np.asarray(ranges.values), size=n_groups * m, replace=False).reshape(n_groups, m)
     groups = [np.concatenate([[keys[i]], values[i]]) for i in range(n_groups)]
@@ -124,34 +112,19 @@ def gen_multi_value(spec):
                       query_key=int(keys[probe]), gold_values=[int(v) for v in values[probe]])
 
 
-def gen_niah_eval(spec, depth=None):
-    """Needle (key, value) pairs buried in filler at random depths."""
+def gen_niah_eval(spec):
+    """One needle (key, value) pair buried in filler at a random depth."""
     rng = np.random.default_rng(spec.seed)
     ranges = TokenRanges.for_vocab(spec.vocab_size)
-    n_needles = spec.n_pairs or 1
-    body = spec.seq_len - 2 - 2 * n_needles - 1
-    if body < 1:
-        raise ValueError(f"seq_len {spec.seq_len} too short for {n_needles} needles")
-    keys = rng.choice(np.asarray(ranges.keys), size=n_needles, replace=False)
-    values = rng.choice(np.asarray(ranges.values), size=n_needles, replace=False)
+    body = spec.seq_len - 5  # the needle, the [SEP, key] probe and the answer
+    # one-element draws, not scalar ones: they consume the stream differently
+    key = rng.choice(np.asarray(ranges.keys), size=1, replace=False)[0]
+    value = rng.choice(np.asarray(ranges.values), size=1, replace=False)[0]
     filler = rng.choice(np.asarray(ranges.filler), size=body)
-    if depth is None:
-        slots = np.sort(rng.choice(body + 1, size=n_needles, replace=False))
-    else:
-        slots = np.array([int(depth * body)] * n_needles)
-    out = []
-    prev = 0
-    for i, s in enumerate(slots):
-        out.append(filler[prev:s])
-        out.append(np.array([keys[i], values[i]]))
-        prev = s
-    out.append(filler[prev:])
-    probe = int(rng.integers(n_needles))
-    out.append(np.array([SEP_TOKEN, keys[probe]]))
-    ctx = np.concatenate(out).astype(np.int64)
-    ans = np.array([values[probe]], dtype=np.int64)
-    return TaskSample(ctx_tokens=ctx, ans_tokens=ans,
-                      query_key=int(keys[probe]), gold_values=[int(values[probe])])
+    depth = rng.choice(body + 1, size=1, replace=False)[0]
+    ctx = np.concatenate([filler[:depth], [key, value], filler[depth:], [SEP_TOKEN, key]])
+    return TaskSample(ctx_tokens=ctx.astype(np.int64), ans_tokens=np.array([value], dtype=np.int64),
+                      query_key=int(key), gold_values=[int(value)])
 
 
 def gen_copy_repeat(spec):

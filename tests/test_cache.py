@@ -174,7 +174,7 @@ def test_whf_streaming_decodes_with_the_chosen_heads_zeroed(tmp_path, monkeypatc
         eval_seq_len=48, eval_samples=4, calib_samples=2)
     c = cfg.model_config()
     toy = ToyTransformer.create(c, seed=5)
-    samples = experiment.eval_samples(cfg)
+    samples = experiment.eval_samples(cfg)  # the samples cmd_eval draws
     profile = analysis.high_freq_ratio(toy, experiment.calib_samples(cfg)[0])
     chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction, "highest")
     assert len(chosen) == 2
@@ -190,7 +190,7 @@ def test_whf_streaming_decodes_with_the_chosen_heads_zeroed(tmp_path, monkeypatc
     ckpt = str(tmp_path / "model.pkv")
     storage.save_checkpoint(ckpt, toy)
     report = experiment.cmd_eval(cfg, ckpt, experiment.MODE_WHF_STREAMING,
-                                 out_dir=str(tmp_path), samples=samples)
+                                 out_dir=str(tmp_path))
     whf, decoded = decoded, []
     learned, _ = experiment.evaluate_mode(cfg, toy, experiment.MODE_LEARNED, samples, zeroed)
     assert report["accuracy"] == learned

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prunekv import masking, model as pm, tasks
-from prunekv.masking import BinaryChannelMask, TrainSpec, select_mask, top_s_r
+from prunekv.masking import BinaryChannelMask, TrainSpec, select_mask
 
 import helpers
 
@@ -101,14 +101,6 @@ def test_negative_factors_rank_by_value_not_magnitude():
     scores = np.array([[[-5.0, -0.1, 0.2, 0.3]]])
     got = select_mask(scores, 0.5, 1)
     np.testing.assert_array_equal(got.bits[0, 0], [0, 0, 1, 1])
-
-
-def test_top_s_r_accepts_tensor():
-    import prunekv.autodiff as ad
-    alpha = ad.Tensor(np.random.default_rng(3).normal(size=(1, 2, 8)))
-    a = top_s_r(alpha, 0.5, 2).bits
-    b = top_s_r(alpha.data, 0.5, 2).bits
-    np.testing.assert_array_equal(a, b)
 
 
 def test_mask_validation_names_offending_head():

@@ -436,8 +436,32 @@ def test_cli_commands_that_draw_samples_need_the_checkpoint_model(tmp_path, caps
     assert captured.err.startswith("error: the checkpoint's model differs from the config's in ")
     assert "n_layers 1 (config 4)" in captured.err and "max_pos 64 (config 2048)" in captured.err
     assert "rope_base" not in captured.err and captured.out == ""
+    code = cli.main(argv + ["--config", decode[3]])
     if runs:
-        assert cli.main(argv + ["--config", decode[3]]) == cli.EXIT_OK
+        assert code == cli.EXIT_OK
+    else:
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: dense_retrieval samples are 23 tokens at eval_seq_len 64 and vocab_size 32, "
+            "shorter than staticity's 64-row query window\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--mode", "full"], ["analyze", "staticity"], ["analyze", "whf"], ["learn-mask"]])
+def test_cli_refused_commands_leave_no_output_directory(tmp_path, capsys, command):
+    """A command refused for its checkpoint, missing or of another model than
+    the config's, exits 1 before it makes its --out directory."""
+    decode = decode_setup(tmp_path)  # a CFG checkpoint; the default config's model differs
+    for ckpt, message in [(str(tmp_path / "missing.pkv"), "error: "),
+                          (decode[1], "error: the checkpoint's model differs from the config's")]:
+        out = tmp_path / "out"
+        argv = command[:1] + [ckpt, "--out", str(out)] + command[1:]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+    if command == ["analyze", "staticity"]:  # refused for its samples' length
+        assert cli.main(argv + ["--config", decode[3]]) == cli.EXIT_ERROR
+        assert not out.exists()
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

@@ -37,42 +37,33 @@ def test_dense_retrieval_structure():
     assert len(set(pairs)) == len(pairs)
 
 
-def test_dense_retrieval_rejects_oversized():
-    with pytest.raises(ValueError):
-        tasks.generate(TaskSpec(kind=tasks.DENSE_RETRIEVAL, seq_len=32, n_pairs=100))
-
-
 def test_multi_value_structure():
-    spec = TaskSpec(kind=tasks.MULTI_VALUE, seq_len=96, values_per_key=3, seed=12)
+    spec = TaskSpec(kind=tasks.MULTI_VALUE, seq_len=96, seed=12)
     s = tasks.generate(spec)
     ctx = s.ctx_tokens
     r = TokenRanges.for_vocab(spec.vocab_size)
     assert ctx[-2] == SEP_TOKEN and ctx[-1] == s.query_key
-    assert len(s.ans_tokens) == 3 and list(s.ans_tokens) == s.gold_values
-    # find the probed key in the body; its next 3 tokens are the gold values
+    assert len(s.ans_tokens) == tasks.VALUES_PER_KEY == 2 and list(s.ans_tokens) == s.gold_values
+    # find the probed key in the body; its next 2 tokens are the gold values
     body = ctx[:-2]
     pos = [i for i, tok in enumerate(body) if tok == s.query_key]
     assert len(pos) == 1
-    np.testing.assert_array_equal(body[pos[0] + 1:pos[0] + 4], s.ans_tokens)
+    np.testing.assert_array_equal(body[pos[0] + 1:pos[0] + 3], s.ans_tokens)
     assert any(tok in r.filler for tok in body)
 
 
-def test_multi_value_requires_two_values():
-    with pytest.raises(ValueError):
-        tasks.generate(TaskSpec(kind=tasks.MULTI_VALUE, seq_len=64, values_per_key=1))
-
-
 def test_niah_structure_and_fixed_depth():
-    spec = TaskSpec(kind=tasks.NIAH_EVAL, seq_len=128, n_pairs=3, seed=13)
+    spec = TaskSpec(kind=tasks.NIAH_EVAL, seq_len=128, seed=13)
     s = tasks.generate(spec)
     ctx = s.ctx_tokens
-    assert ctx[-2] == SEP_TOKEN and ctx[-1] == s.query_key
-    pos = [i for i, tok in enumerate(ctx[:-2]) if tok == s.query_key]
-    assert len(pos) == 1
-    assert ctx[pos[0] + 1] == s.ans_tokens[0]
-    shallow = tasks.gen_niah_eval(spec, depth=0.0)
     r = TokenRanges.for_vocab(spec.vocab_size)
-    assert shallow.ctx_tokens[0] in r.keys  # needle right at the start
+    assert len(ctx) + len(s.ans_tokens) == spec.seq_len
+    assert ctx[-2] == SEP_TOKEN and ctx[-1] == s.query_key
+    # one needle: a single key in the body, followed by its value, the rest filler
+    keys = [i for i, tok in enumerate(ctx[:-2]) if tok in r.keys]
+    assert len(keys) == 1 and ctx[keys[0]] == s.query_key
+    assert ctx[keys[0] + 1] == s.ans_tokens[0] == s.gold_values[0]
+    assert sum(tok in r.filler for tok in ctx[:-2]) == len(ctx) - 4
 
 
 def test_generators_deterministic():
@@ -85,7 +76,7 @@ def test_generators_deterministic():
 
 
 def test_score_counts_in_order():
-    s = tasks.generate(TaskSpec(kind=tasks.MULTI_VALUE, seq_len=96, values_per_key=2, seed=3))
+    s = tasks.generate(TaskSpec(kind=tasks.MULTI_VALUE, seq_len=96, seed=3))
     gold = s.ans_tokens
     assert tasks.score(gold, s) == 1.0
     assert tasks.score(gold[::-1], s) in (0.0, 1.0)  # only 1.0 if palindromic

@@ -9,21 +9,25 @@ decode through the partitioned cache, with the all-ones mask and with the
 stage-2 mask with head (0, 0) streaming, and of each `cmd_eval` report file
 of a 4-sample eval in every mode. Two trees that print the same bytes train
 the same weights and factors and decode and report the same, bit for bit.
-Run from the repository root, before and after a change:
+Its first line is one sha256 over the samples of every task generator on a
+grid of kinds, vocabularies, lengths up to 2048 and seeds, so two trees that
+print the same line generate the same tasks. Run from the repository root,
+before and after a change:
 
     PYTHONPATH=src python tools/fingerprint.py > before.txt
 
-`--tiny` runs a two-layer model in about a second.
+`--tiny` runs a two-layer model; the whole run takes about 1.5 s.
 """
 import argparse
 import hashlib
+import itertools
 import os
 import tempfile
 from dataclasses import replace
 
 import numpy as np
 
-from prunekv import cache, experiment, masking, model, storage
+from prunekv import cache, experiment, masking, model, storage, tasks
 
 PROMPT_LEN, N_NEW = 96, 40  # the decode crosses one migration batch of 32
 
@@ -31,6 +35,21 @@ TINY = dict(model=dict(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=3
                        vocab_size=512, max_pos=256),
             train={"sink": 2, "window": 8, "seq_len_range": (32, 48)},
             pretrain_seq_lens=(16, 24), repeat_len_range=(8, 16), pretrain_batch=2)
+
+TASK_VOCABS, TASK_SEEDS = (64, 256, 512), (0, 1)
+TASK_SEQ_LENS = (*range(8, 64), *range(64, 2048, 63), 2048)  # every length to 64, then sparser
+
+
+def tasks_sha256():
+    """sha256 of every field of the samples of each kind, vocabulary, length and seed."""
+    h = hashlib.sha256()
+    for kind, vocab, seq_len, seed in itertools.product(tasks.KINDS, TASK_VOCABS, TASK_SEQ_LENS,
+                                                        TASK_SEEDS):
+        s = tasks.generate(tasks.TaskSpec(kind=kind, seq_len=seq_len, seed=seed, vocab_size=vocab))
+        for field in (s.ctx_tokens, s.ans_tokens, [s.query_key], s.gold_values):
+            field = np.asarray(field, dtype=np.int64)
+            h.update(np.int64(field.size).tobytes() + field.tobytes())
+    return h.hexdigest()
 
 
 def sha256(named):
@@ -45,6 +64,7 @@ def main(argv=None):
     parser.add_argument("--tiny", action="store_true", help="a two-layer model")
     parser.add_argument("--seed", type=int, default=0, help="initial weights")
     args = parser.parse_args(argv)
+    print(f"tasks sha256: {tasks_sha256()}")
     cfg = experiment.ExperimentConfig(seed=args.seed, pretrain_repeat_steps=12, pretrain_steps=4,
                                       **(TINY if args.tiny else {}))
     spec = replace(cfg.train_spec(), steps_stage1=4, steps_stage2=2)
