@@ -21,10 +21,11 @@ def bench():
 
 def test_tiny_pair_of_the_same_tree(bench, tmp_path):
     out = tmp_path / "bench.json"
-    assert bench.main(["--parent", str(ROOT), "--tag", "smoke", "--pairs", "1", "--workload",
-                       "decode_long", "--seconds", "1", "--tiny", "--out", str(out)]) == 0
+    assert bench.main(["--parent", "HEAD", "--tag", "smoke", "--pairs", "1", "--workload",
+                       "decode_long", "--tiny", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report) == {"tag", "parent", "protocol", "machine", "workloads"}
+    assert report["protocol"]["seed"] == 1 and report["protocol"]["seconds"] == 1.0
     assert report["machine"]["nproc"] >= 1
     entry = report["workloads"]["decode_long"]
     assert set(entry) == {"attempted", "failed", "metrics", "width_cut"}
@@ -51,8 +52,9 @@ def test_pairs_alternate_and_summaries(bench, monkeypatch, tmp_path):
         value = next(parent_ms) if side == "parent" else 10.0
         return {"nproc": 2}, {"op_ms": (value, "ms"), "eval_samples_s": (1.0, "1/s")}, 2, 0
 
+    monkeypatch.setattr(bench, "export_tree", lambda parent, tmp: tmp_path)
     monkeypatch.setattr(bench, "run_once", fake_run)
-    report = bench.bench(bench.parse_args(["--parent", str(tmp_path), "--tag", "t", "--pairs", "3",
+    report = bench.bench(bench.parse_args(["--parent", "HEAD", "--tag", "t", "--pairs", "3",
                                            "--workload", "eval_sweep",
                                            "--out", str(tmp_path / "b.json")]))
     assert order == ["parent", "change", "change", "parent", "parent", "change"]

@@ -1,26 +1,27 @@
 #!/usr/bin/env python3
-"""Paired benchmark runs of a parent tree against this checkout.
+"""Paired benchmark runs of a parent commit against this checkout.
 
 Runs `benchmarks/run.py` of two trees in alternating pairs: pair 1 runs the
 parent tree first, pair 2 this checkout (the change) first, and so on. Each
 tree runs its own `benchmarks/run.py` against its own `src/`. The parent is
-a commit, which is exported with `git archive` into a temporary directory,
-or a directory used as it is. For every workload and metric it records
-every run's value, each tree's median and interquartile range, the
-change/parent ratio of the medians and the number of pairs the change won
-(for metrics whose direction BENCHMARK.json declares). Per workload it
-records the checks attempted and failed by each tree, and for decode_long
-the width cut, tpot_ms.k025 / tpot_ms.k100. The metrics are run.py's result
-metrics (the end-to-end ones, or with `--trace 1` the per-layer ones, the
-`cache.kv_bytes_per_token.k*` counters among them) and the figures it prints
-by name. The `machine` line of the first run is recorded too. Run from the repository
+a commit, exported with `git archive` into a temporary directory. The
+protocol is fixed: seed 1 and 20 s a run (1 s at `--tiny`, which is for the
+smoke test). For every workload and end-to-end metric, and every figure
+run.py prints by name, it records every run's value, each tree's median
+and interquartile range, the change/parent ratio of the medians and the
+number of pairs the change won (for metrics whose direction BENCHMARK.json
+declares). Per workload it records the checks attempted and failed by each
+tree, and for decode_long the width cut, tpot_ms.k025 / tpot_ms.k100. The
+`machine` line of the first run is recorded too. Run from the repository
 root, with nothing else busy on the machine:
 
-    python3 tools/bench.py --parent HEAD~1 --tag mychange --pairs 5 --seed 1 --seconds 20
+    python3 tools/bench.py --parent HEAD~1 --tag mychange --pairs 10
 
-This writes BENCH_mychange.json. Against its own directory (`--parent .`)
-the tool makes a null comparison, whose spread is the noise floor.
+This writes BENCH_mychange.json. With `--parent HEAD` and a clean checkout
+the two trees hold the same files, a null comparison whose spread is the
+noise floor.
 """
+
 import argparse
 import io
 import json
@@ -33,12 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("parent", "change")
+SEED = 1
 
 
 def export_tree(parent, tmp):
-    """The directory of `parent`: itself if it is one, else the commit exported into `tmp`."""
-    if Path(parent).is_dir():
-        return Path(parent).resolve()
+    """Export commit `parent` into `tmp` and return its path."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", parent],
                          check=True, stdout=subprocess.PIPE).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
@@ -49,8 +49,8 @@ def export_tree(parent, tmp):
 def run_once(tree, workload, args):
     """(machine, {metric: (value, unit)}, attempted, failed) of one run.py run;
     a run that ends without its result line counts as one failed check."""
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace)] + ["--tiny"] * args.tiny
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(seconds(args))] + ["--tiny"] * args.tiny
     out = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
     try:
@@ -68,6 +68,11 @@ def run_once(tree, workload, args):
     for name, m in result["metrics"].items():  # full precision, where the line has 6 digits
         values[name] = (m["value"], m["unit"])
     return machine, values, result["attempted"], result["failed"]
+
+
+def seconds(args):
+    """The length of one run."""
+    return 1.0 if args.tiny else 20.0
 
 
 def spread(values):
@@ -96,11 +101,11 @@ def summarise(runs, better):
 
 def bench(args):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]] if args.workload == "all" else [args.workload]
     report = {"tag": args.tag, "parent": args.parent,
-              "protocol": {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
-                           "trace": args.trace, "tiny": args.tiny,
+              "protocol": {"pairs": args.pairs, "seed": SEED, "seconds": seconds(args),
+                           "tiny": args.tiny,
                            "order": "parent first in odd pairs, change first in even pairs"},
               "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,13 +137,10 @@ def bench(args):
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, help="commit to export, or a tree's directory")
+    p.add_argument("--parent", required=True, help="the commit to compare against")
     p.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--workload", default="all", help="one workload of BENCHMARK.json, or all")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--tiny", action="store_true", help="run.py's tiny sizes, for the smoke test")
     p.add_argument("--out", help="output path instead of BENCH_<tag>.json at the repository root")
     args = p.parse_args(argv)
