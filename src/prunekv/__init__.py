@@ -6,7 +6,7 @@ into an aligned keep mask, and deployed through a partitioned KV cache that
 stores middle-region keys at reduced width.
 """
 from .autodiff import Adam, DivergenceError, ShapeError, Tensor
-from .model import ModelConfig, ToyTransformer, build_masks, forward_full, forward_scaled
+from .model import ModelConfig, ToyTransformer
 from .masking import BinaryChannelMask, TrainSpec, select_mask, stage1_train, stage2_train, top_s_r
 from .tasks import TaskSpec, TaskSample, generate, score
 from .cache import (PartitionedKVCache, decode_step, greedy_decode, memory_report,
@@ -18,7 +18,7 @@ from .storage import load_alpha, load_beta, load_checkpoint, save_alpha, save_be
 
 __all__ = [
     "Adam", "DivergenceError", "ShapeError", "Tensor",
-    "ModelConfig", "ToyTransformer", "build_masks", "forward_full", "forward_scaled",
+    "ModelConfig", "ToyTransformer",
     "BinaryChannelMask", "TrainSpec", "select_mask", "stage1_train", "stage2_train", "top_s_r",
     "TaskSpec", "TaskSample", "generate", "score",
     "PartitionedKVCache", "decode_step", "greedy_decode", "memory_report",

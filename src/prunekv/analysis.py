@@ -115,19 +115,15 @@ def static_norm_mask(model, samples, keep_ratio, r, obs_window=DEFAULT_OBS_WINDO
     return select_mask(mean.reshape(shape), keep_ratio, r)
 
 
-def dynamic_norm_mask(model, sample, keep_ratio, q_window, budgets=None):
-    """Per-sample norm-based mask from the last `q_window` queries only.
-
-    Uniform variant (budgets None) keeps round(keep_ratio * d) channels in
-    every head; the per-head variant keeps `budgets[l, h]` channels instead.
-    """
+def dynamic_norm_mask(model, sample, keep_ratio, q_window):
+    """Per-sample norm-based mask from the last `q_window` queries only; it
+    keeps round(keep_ratio * d) channels in every head."""
     if q_window < 1:
         raise ValueError("q_window must be >= 1")
     c = model.config
     scores = channel_norm_ratios(model, sample, q_window).values.reshape(c.factor_shape)
-    if budgets is None:
-        budgets = int(round_half_up(keep_ratio * c.head_dim))
-    return BinaryChannelMask(bits=top_channels(scores, budgets), r=1, keep_ratio=keep_ratio)
+    budget = int(round_half_up(keep_ratio * c.head_dim))
+    return BinaryChannelMask(bits=top_channels(scores, budget), r=1, keep_ratio=keep_ratio)
 
 
 def freq_profile(mask_or_values):
@@ -148,12 +144,12 @@ def freq_profile(mask_or_values):
     return (flat[:, :half] + flat[:, half:]).mean(axis=0) / 2.0
 
 
-def high_freq_ratio(model, sample, high_boundary=None, q_window=1):
-    """Per-head ratio of logit norm carried by the high-frequency channels.
+def high_freq_ratio(model, sample, high_boundary=None):
+    """Per-head ratio of logit norm carried by the high-frequency channels,
+    for the last query row.
 
     High frequency means the lowest `high_boundary` pair indices (both pair
-    members). Defaults to half the pairs. `q_window` controls how many of
-    the last query rows are pooled (1 = single query vector).
+    members). Defaults to half the pairs.
     """
     c = model.config
     d = c.head_dim
@@ -163,31 +159,20 @@ def high_freq_ratio(model, sample, high_boundary=None, q_window=1):
         raise ValueError(f"high_boundary must be in (0, {d // 2}], got {high_boundary}")
     high = np.concatenate([np.arange(high_boundary), d // 2 + np.arange(high_boundary)])
     w_hf = np.zeros((c.n_layers, c.n_kv_heads))
-    for i, j, qj, kj, den in _head_blocks(model, sample, q_window):
+    for i, j, qj, kj, den in _head_blocks(model, sample, 1):
         if den != 0.0:
             w_hf[i, j] = np.linalg.norm(qj[:, high] @ kj[:, high].T) / den
     return HeadFreqProfile(w_hf=w_hf, high_boundary=high_boundary)
 
 
-def convert_streaming_by_whf(profile, fraction, mode="highest", seed=0):
-    """Pick a fraction of all heads to force into streaming mode.
-
-    Ordering by w_hf descending (`highest`), ascending (`lowest`), or a
-    seeded shuffle (`random`); ties break by (layer, head) index.
-    """
+def convert_streaming_by_whf(profile, fraction):
+    """The `fraction` of all heads with the highest w_hf, to force into
+    streaming mode; ties break by (layer, head) index."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     flat = profile.w_hf.reshape(-1)
     n = flat.size
     count = int(round_half_up(fraction * n))
-    idx = np.arange(n)
-    if mode == "highest":
-        order = np.lexsort((idx, -flat))
-    elif mode == "lowest":
-        order = np.lexsort((idx, flat))
-    elif mode == "random":
-        order = np.random.default_rng(seed).permutation(n)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    order = np.lexsort((np.arange(n), -flat))
     n_heads = profile.w_hf.shape[1]
     return [(int(i // n_heads), int(i % n_heads)) for i in order[:count]]

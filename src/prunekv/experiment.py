@@ -289,7 +289,7 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
         beta = None
     elif mode == MODE_WHF_STREAMING:
         profile = analysis.high_freq_ratio(toy, calib_samples(cfg)[0])
-        chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction, "highest")
+        chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction)
         bits = np.ones(c.factor_shape, dtype=np.uint8)
         bits[tuple(np.array(chosen, dtype=np.int64).reshape(-1, 2).T)] = 0  # they stream
         beta = masking.BinaryChannelMask(bits=bits, r=1, keep_ratio=float(bits.mean()))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import answer_rows, build_masks, check_int, context_kv, is_real
+from .model import answer_rows, check_int, context_kv, is_real
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,9 @@ def _distill_loss(model, task_stream, rng, spec, factors, lam, alpha):
     batch = task_stream(rng, int(rng.integers(lo, hi + 1)))
     tokens = np.stack([s.tokens for s in batch])
     n_ans = len(batch[0].ans_tokens)
-    masks = build_masks(tokens.shape[1] - n_ans, n_ans, spec.sink, spec.window)
     ctx = context_kv(model, tokens, n_ans)
     teacher = answer_rows(model, ctx, tokens, n_ans)
-    student = answer_rows(model, ctx, tokens, n_ans, factors, masks)
+    student = answer_rows(model, ctx, tokens, n_ans, factors, spec.sink, spec.window)
     return stage1_loss(teacher, student, alpha, lam)
 
 

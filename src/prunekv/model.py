@@ -68,28 +68,6 @@ class ModelConfig:
         return (self.n_layers, self.n_kv_heads, self.head_dim)
 
 
-@dataclass(frozen=True)
-class AttentionRegionMasks:
-    """The sink/window split of a context/answer sequence; `answer_rows`
-    derives each answer row's regions from it by `cache.middle_end`."""
-
-    n_ctx: int
-    n_ans: int
-    sink: int
-    window: int
-
-    @property
-    def total(self):
-        return self.n_ctx + self.n_ans
-
-
-def build_masks(n_ctx, n_ans, sink, window):
-    """The region split for a context/answer sequence, checked."""
-    if sink + window > n_ctx:
-        raise ValueError(f"sink+window = {sink + window} exceeds context length {n_ctx}")
-    return AttentionRegionMasks(n_ctx=n_ctx, n_ans=n_ans, sink=sink, window=window)
-
-
 def param_shapes(config):
     """{name: shape} of every parameter of a model with `config`, in init order."""
     c = config
@@ -138,33 +116,6 @@ class ToyTransformer:
             p.requires_grad = flag
 
 
-@dataclass
-class ForwardRecord:
-    """Activations from one forward pass.
-
-    `h_last` is a Tensor (B, n_ans, d_model) of last-layer hidden states for
-    the answer rows. From `forward_full`, `logits` covers all positions;
-    `forward_scaled` runs only the answer rows and returns `logits` None.
-    """
-
-    h_last: Tensor
-    logits: Tensor
-
-
-def _as_batch(config, tokens, n_ans):
-    """(tokens as (B, T), whether they came 1-d), after the length checks."""
-    tokens = np.asarray(tokens)
-    squeeze = tokens.ndim == 1
-    if squeeze:
-        tokens = tokens[None, :]
-    t = tokens.shape[1]
-    if t > config.max_pos:
-        raise ValueError(f"sequence length {t} exceeds max_pos {config.max_pos}")
-    if n_ans < 0 or n_ans > t:
-        raise ValueError(f"invalid answer length {n_ans} for sequence of {t}")
-    return tokens, squeeze
-
-
 def layers(w, config, x, start, attend):
     """Final-norm hidden states of x (..., T, d_model), the rows at positions
     start, start + 1, ..., after every layer.
@@ -211,22 +162,18 @@ def _grouped(config, fn):
     return attend
 
 
-def _forward(model, tokens, n_ans):
-    """Full causal attention over every row, through the model's Tensors."""
+def _forward(model, tokens):
+    """Final-norm hidden states (B, T, d_model) of `tokens` (B, T) under full
+    causal attention, through the model's Tensors."""
     c = model.config
     p = model.params
-    tokens, squeeze = _as_batch(c, tokens, n_ans)
     t = tokens.shape[1]
+    if t > c.max_pos:
+        raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
     additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, MASK_NEG)
     scale = 1.0 / np.sqrt(c.head_dim)
     attend = _grouped(c, lambda i, q, k, v: ad.attention(q, k, v, scale, additive))
-    h_final = layers(p, c, ad.embedding(p["tok_emb"], tokens), 0, attend)
-    logits_out = h_final @ p["lm_head"]
-    h_last = h_final[:, t - n_ans:, :]
-    if squeeze:
-        h_last = h_last.reshape(n_ans, c.d_model)
-        logits_out = logits_out.reshape(t, c.vocab_size)
-    return ForwardRecord(h_last=h_last, logits=logits_out)
+    return layers(p, c, ad.embedding(p["tok_emb"], tokens), 0, attend)
 
 
 def context_kv(model, tokens, n_ans):
@@ -246,38 +193,40 @@ def context_kv(model, tokens, n_ans):
                   for j in (0, 1)) for i in range(c.n_layers)]
 
 
-def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
+def answer_rows(model, ctx, tokens, n_ans, factors=None, sink=None, window=None):
     """Final-norm hidden states (B, n_ans, d_model) of the last `n_ans` rows
     of `tokens` (B, T), attending to the `context_kv` keys and values `ctx`
     and to each other.
 
     Without `factors` attention is plain causal. With `factors` (L, n_kv, d)
-    it is region-scaled by `masks` (from `build_masks`): keys in a row's
-    middle (`cache.middle_end`), answer keys included, score with their
-    channels scaled by the head's factors, all other keys at full width.
-    The factors scale q, as (a * q) . k = q . (a * k), so the graph holds no
-    (T, T) array: its scores and region masks are (B, n_kv, g, n_ans, T)
-    and (n_ans, T). The weights are constants here; only `factors` carries a
+    it is region-scaled by the `sink`/`window` split: keys in a row's middle
+    (`cache.middle_end`), answer keys included, score with their channels
+    scaled by the head's factors, all other keys at full width. The factors
+    scale q, as (a * q) . k = q . (a * k), so the graph holds no (T, T)
+    array: its scores and region masks are (B, n_kv, g, n_ans, T) and
+    (n_ans, T). The weights are constants here; only `factors` carries a
     gradient. Without `factors` every step is plain numpy and the result is
     an ndarray; with them the rows become Tensors at the first factor
     product.
     """
     c = model.config
     t = tokens.shape[1]
+    if t > c.max_pos:
+        raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
     n_ctx, d = t - n_ans, c.head_dim
     pos, seen = np.arange(t), np.arange(n_ctx + 1, t + 1)  # answer row n - 1 sees n keys
     causal = pos < seen[:, None]
     if factors is not None:
-        if masks is None:
-            raise ValueError("scaled forward requires region masks")
-        if masks.total != t:
-            raise ValueError(f"masks built for length {masks.total}, input has {t}")
+        if sink is None or window is None:
+            raise ValueError("scaled forward requires a sink and a window")
+        if sink + window > n_ctx:
+            raise ValueError(f"sink+window = {sink + window} exceeds context length {n_ctx}")
         if not isinstance(factors, Tensor):
             factors = Tensor(factors)
         if factors.shape != c.factor_shape:
             raise ad.ShapeError(f"factors shape {factors.shape} != {c.factor_shape}")
-        end = np.array([cache.middle_end(n, masks.sink, masks.window) for n in seen])
-        mid = (pos >= masks.sink) & (pos < end[:, None])
+        end = np.array([cache.middle_end(n, sink, window) for n in seen])
+        mid = (pos >= sink) & (pos < end[:, None])
         f_sl, f_mid = (causal & ~mid) / np.sqrt(d), mid / np.sqrt(d)
     else:
         f_sl = 1.0 / np.sqrt(d)
@@ -295,35 +244,16 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, masks=None):
     return layers(w, c, w["tok_emb"][tokens[:, n_ctx:]], n_ctx, _grouped(c, attend))
 
 
-def forward_full(model, tokens, n_ans):
-    """Standard causal full attention."""
-    return _forward(model, tokens, n_ans)
-
-
-def forward_scaled(model, tokens, n_ans, factors, masks):
-    """Region-scaled attention: middle-region keys are scaled per channel.
-
-    Only the answer rows are computed (`answer_rows`), against one numpy
-    context pass; context rows attend causally and do not depend on the
-    factors.
-    """
-    tokens, squeeze = _as_batch(model.config, tokens, n_ans)
-    h_last = answer_rows(model, context_kv(model, tokens, n_ans), tokens, n_ans, factors, masks)
-    if squeeze:
-        h_last = h_last.reshape(n_ans, model.config.d_model)
-    return ForwardRecord(h_last=h_last, logits=None)
-
-
 def answer_loss(model, batch):
     """Mean cross-entropy of `batch`'s answer tokens under the model."""
     tokens = np.stack([np.concatenate([s.ctx_tokens, s.ans_tokens]) for s in batch])
     n_ans = len(batch[0].ans_tokens)
-    n_ctx = tokens.shape[1] - n_ans
-    rec = _forward(model, tokens, n_ans)
+    t = tokens.shape[1]
+    n_ctx = t - n_ans
+    logits = _forward(model, tokens) @ model.params["lm_head"]
     # position i predicts token i+1: answer tokens are predicted from rows
     # n_ctx-1 .. n_ctx+n_ans-2
-    pred_rows = rec.logits[:, n_ctx - 1:tokens.shape[1] - 1, :]
-    flat = pred_rows.reshape(len(batch) * n_ans, model.config.vocab_size)
+    flat = logits[:, n_ctx - 1:t - 1, :].reshape(len(batch) * n_ans, model.config.vocab_size)
     return ad.cross_entropy(flat, tokens[:, n_ctx:].reshape(-1))
 
 

@@ -94,12 +94,12 @@ def test_criterion_01_unit_factor_identity(announce):
         c = small_config(trial)
         toy = pm.ToyTransformer.create(c, seed=trial)
         n_ctx, n_ans = int(rng.integers(12, 32)), int(rng.integers(1, 4))
-        tokens = rng.integers(0, c.vocab_size, size=n_ctx + n_ans)
-        masks = pm.build_masks(n_ctx, n_ans, sink=2, window=4)
+        tokens = rng.integers(0, c.vocab_size, size=n_ctx + n_ans)[None]
         factors = np.ones(c.factor_shape)
-        full = pm.forward_full(toy, tokens, n_ans)
-        scaled = pm.forward_scaled(toy, tokens, n_ans, factors, masks)
-        worst = max(worst, float(np.abs(scaled.h_last.data - full.h_last.data).max()))
+        full = pm._forward(toy, tokens).data[:, n_ctx:]
+        scaled = pm.answer_rows(toy, pm.context_kv(toy, tokens, n_ans), tokens, n_ans, factors,
+                                sink=2, window=4)
+        worst = max(worst, float(np.abs(scaled.data - full).max()))
     ok = worst < 1e-10
     announce(1, ok, f"unit-factor scaled attention equals full attention, "
                     f"max|dH|={worst:.2e} over 20 random model/input pairs")
@@ -113,21 +113,20 @@ def test_criterion_02_factor_gradient_matches_finite_differences(announce):
     toy.set_trainable(False)
     rng = np.random.default_rng(7)
     n_ctx, n_ans = 22, 2
-    tokens = rng.integers(0, c.vocab_size, size=n_ctx + n_ans)
-    masks = pm.build_masks(n_ctx, n_ans, sink=2, window=4)
-    h_full = pm.forward_full(toy, tokens, n_ans).h_last.data
+    tokens = rng.integers(0, c.vocab_size, size=n_ctx + n_ans)[None]
+    h_full = pm._forward(toy, tokens).data[:, n_ctx:]
+    ctx = pm.context_kv(toy, tokens, n_ans)
     alpha0 = rng.uniform(0.5, 1.5, size=c.factor_shape)
 
     worst = 0.0
     for lam in (0.0, 0.06):
         def loss_value(a):
-            scaled = pm.forward_scaled(toy, tokens, n_ans, np.asarray(a), masks)
-            return float(masking.stage1_loss(h_full, scaled.h_last,
-                                             ad.Tensor(np.asarray(a)), lam).data)
+            scaled = pm.answer_rows(toy, ctx, tokens, n_ans, np.asarray(a), sink=2, window=4)
+            return float(masking.stage1_loss(h_full, scaled, ad.Tensor(np.asarray(a)), lam).data)
 
         alpha = ad.Tensor(alpha0.copy(), requires_grad=True)
-        scaled = pm.forward_scaled(toy, tokens, n_ans, alpha, masks)
-        loss = masking.stage1_loss(h_full, scaled.h_last, alpha, lam)
+        scaled = pm.answer_rows(toy, ctx, tokens, n_ans, alpha, sink=2, window=4)
+        loss = masking.stage1_loss(h_full, scaled, alpha, lam)
         loss.backward()
         fd = ad.finite_difference_gradient(loss_value, alpha0.copy(), eps=1e-5)
         rel = np.abs(alpha.grad - fd) / np.maximum(np.abs(fd), 1e-8)

@@ -47,12 +47,13 @@ def test_pairs_alternate_and_summaries(bench, monkeypatch, tmp_path):
     parent_ms = iter([9.0, 11.0, 12.0])
 
     def fake_run(tree, workload, args):
-        side = "parent" if tree != bench.ROOT else "change"
+        side = tree.name
         order.append(side)
         value = next(parent_ms) if side == "parent" else 10.0
         return {"nproc": 2}, {"op_ms": (value, "ms"), "eval_samples_s": (1.0, "1/s")}, 2, 0
 
-    monkeypatch.setattr(bench, "export_tree", lambda parent, tmp: tmp_path)
+    monkeypatch.setattr(bench, "export_trees",
+                        lambda parent, tmp: {tree: tmp_path / tree for tree in bench.TREES})
     monkeypatch.setattr(bench, "run_once", fake_run)
     report = bench.bench(bench.parse_args(["--parent", "HEAD", "--tag", "t", "--pairs", "3",
                                            "--workload", "eval_sweep",

@@ -9,7 +9,7 @@ from prunekv import analysis, cache, experiment, masking, storage
 from prunekv.cache import (greedy_decode, memory_report, migrate_window, np_forward,
                            prefill_and_partition)
 from prunekv.masking import BinaryChannelMask
-from prunekv.model import ModelConfig, ToyTransformer, forward_full
+from prunekv.model import ModelConfig, ToyTransformer, _forward
 
 import helpers
 
@@ -54,8 +54,8 @@ def test_np_forward_matches_tensor_forward():
     toy = make_model(1)
     tokens = np.random.default_rng(1).integers(0, CFG.vocab_size, size=20)
     _, logits = np_forward(toy.weights_numpy(), CFG, tokens)
-    rec = forward_full(toy, tokens, 1)
-    np.testing.assert_allclose(logits, rec.logits.data, rtol=1e-9, atol=1e-10)
+    want = (_forward(toy, tokens[None]) @ toy.params["lm_head"]).data[0]
+    np.testing.assert_allclose(logits, want, rtol=1e-9, atol=1e-10)
 
 
 @pytest.mark.parametrize("t", [1, cache.PREFILL_BLOCK - 1, cache.PREFILL_BLOCK,
@@ -176,7 +176,7 @@ def test_whf_streaming_decodes_with_the_chosen_heads_zeroed(tmp_path, monkeypatc
     toy = ToyTransformer.create(c, seed=5)
     samples = experiment.eval_samples(cfg)  # the samples cmd_eval draws
     profile = analysis.high_freq_ratio(toy, experiment.calib_samples(cfg)[0])
-    chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction, "highest")
+    chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction)
     assert len(chosen) == 2
     zeroed = zero_heads(BinaryChannelMask.all_ones(c.factor_shape), chosen)
     decoded, original = [], cache.greedy_decode

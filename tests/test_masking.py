@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prunekv import masking, model as pm, tasks
+from prunekv.experiment import ExperimentConfig, make_mask_stream
 from prunekv.masking import BinaryChannelMask, TrainSpec, select_mask
 
 import helpers
@@ -181,6 +182,17 @@ def test_stage1_step_memory_bound_at_t2048():
     losses, peak = _stage1_step_peak(2048)
     assert np.isfinite(losses).all()
     assert peak < 36 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_stage_step_refuses_a_sequence_past_max_pos():
+    # a 400-token request gives a 343-token dense_retrieval batch: its 342
+    # context rows fit max_pos, but its answer row would sit at position 342
+    cfg = ExperimentConfig(model={"n_layers": 1, "max_pos": 342},
+                           train={"steps_stage1": 1, "steps_stage2": 0,
+                                  "seq_len_range": (400, 400)})
+    toy = pm.ToyTransformer.create(cfg.model_config(), seed=0)
+    with pytest.raises(ValueError, match="sequence length 343 exceeds max_pos 342"):
+        masking.stage1_train(toy, make_mask_stream(cfg), cfg.train_spec())
 
 
 def _tiny_setup():

@@ -7,7 +7,7 @@ import pytest
 
 import prunekv.autodiff as ad
 from prunekv import cache, masking, model as pm, tasks
-from prunekv.model import ModelConfig, ToyTransformer, build_masks, rope_angles
+from prunekv.model import ModelConfig, ToyTransformer, rope_angles
 
 import helpers
 
@@ -83,10 +83,10 @@ def test_rope_rotate_tensor_matches_numpy():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def regions(masks, p):
+def regions(p, sink, window):
     """(full-width keys, middle keys) of the query at position p under the
-    split `masks`, by the package's one region rule."""
-    middle = set(range(masks.sink, cache.middle_end(p + 1, masks.sink, masks.window)))
+    sink/window split, by the package's one region rule."""
+    middle = set(range(sink, cache.middle_end(p + 1, sink, window)))
     return set(range(p + 1)) - middle, middle
 
 
@@ -95,23 +95,18 @@ def oracle_regions(p, sink, window):
     return full, set(range(p + 1)) - full
 
 
-def test_build_masks_hand_example():
-    m = build_masks(n_ctx=8, n_ans=2, sink=2, window=3)
-    assert (m.n_ctx, m.n_ans, m.sink, m.window, m.total) == (8, 2, 2, 3, 10)
-    assert regions(m, 9) == oracle_regions(9, 2, 3) == ({0, 1, 7, 8, 9}, {2, 3, 4, 5, 6})
+def test_region_split_hand_example():
+    assert regions(9, 2, 3) == oracle_regions(9, 2, 3) == ({0, 1, 7, 8, 9}, {2, 3, 4, 5, 6})
 
 
-def test_build_masks_partition_causal():
-    m = build_masks(n_ctx=20, n_ans=4, sink=3, window=5)
+def test_region_split_partition_causal():
     full, mid = np.zeros((24, 24), dtype=bool), np.zeros((24, 24), dtype=bool)
-    for p in range(m.total):
-        keys = regions(m, p)
+    for p in range(24):
+        keys = regions(p, 3, 5)
         assert keys == oracle_regions(p, 3, 5)
         full[p, list(keys[0])], mid[p, list(keys[1])] = True, True
     assert not (full & mid).any()
     np.testing.assert_array_equal(full | mid, np.tril(np.ones((24, 24), dtype=bool)))
-    with pytest.raises(ValueError):
-        build_masks(n_ctx=6, n_ans=1, sink=4, window=4)
 
 
 def test_middle_end_matches_the_oracle_rule():
@@ -125,21 +120,30 @@ def test_middle_end_matches_the_oracle_rule():
                 assert type(end) is int and sink <= end <= max(sink, n)
 
 
-def test_forward_full_matches_loop_reference():
+def full_logits(model, tokens):
+    """Logits (T, vocab) of the full causal pass over one sequence."""
+    return (pm._forward(model, tokens[None]) @ model.params["lm_head"]).data[0]
+
+
+def scaled_rows(model, tokens, n_ans, factors, sink, window):
+    """The answer rows of the region-scaled pass over `tokens` (B, T)."""
+    return pm.answer_rows(model, pm.context_kv(model, tokens, n_ans), tokens, n_ans, factors,
+                          sink, window)
+
+
+def test_full_forward_matches_loop_reference():
     toy = ToyTransformer.create(TINY, seed=3)
     tokens = np.random.default_rng(3).integers(0, TINY.vocab_size, size=12)
-    rec = pm.forward_full(toy, tokens, n_ans=2)
     want = helpers.reference_forward(toy.weights_numpy(), TINY, tokens)
-    np.testing.assert_allclose(rec.logits.data, want, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(full_logits(toy, tokens), want, rtol=1e-9, atol=1e-9)
 
 
 def test_scaled_with_unit_factors_is_identity():
     toy = ToyTransformer.create(TINY, seed=4)
-    tokens = np.random.default_rng(4).integers(0, TINY.vocab_size, size=24)
-    masks = build_masks(n_ctx=20, n_ans=4, sink=4, window=6)
-    full = pm.forward_full(toy, tokens, 4)
-    scaled = pm.forward_scaled(toy, tokens, 4, np.ones(TINY.factor_shape), masks)
-    np.testing.assert_allclose(scaled.h_last.data, full.h_last.data, atol=1e-10)
+    tokens = np.random.default_rng(4).integers(0, TINY.vocab_size, size=24)[None]
+    full = pm._forward(toy, tokens).data[:, 20:]
+    scaled = scaled_rows(toy, tokens, 4, np.ones(TINY.factor_shape), sink=4, window=6)
+    np.testing.assert_allclose(scaled.data, full, atol=1e-10)
 
 
 def test_scaled_with_zero_factors_zeroes_mid_logits():
@@ -174,14 +178,14 @@ def test_scaled_context_rows_keep_full_attention():
     toy = ToyTransformer.create(TINY, seed=6)
     tokens = np.random.default_rng(6).integers(0, TINY.vocab_size, size=24)
     rng_factors = np.random.default_rng(7).uniform(0.0, 2.0, TINY.factor_shape)
-    full = pm.forward_full(toy, tokens, 4)
-    # forward_scaled computes only the answer rows; the full-sequence oracle
+    full = full_logits(toy, tokens)
+    # answer_rows computes only the answer rows; the full-sequence oracle
     # computes every row
     _, scaled_logits, _ = helpers.reference_scaled_forward(
         toy.weights_numpy(), TINY, tokens, 4, rng_factors, sink=2, window=4)
     # context-row logits are unaffected by the factors
-    np.testing.assert_allclose(scaled_logits[:19], full.logits.data[:19], atol=1e-10)
-    assert not np.allclose(scaled_logits[20:], full.logits.data[20:])
+    np.testing.assert_allclose(scaled_logits[:19], full[:19], atol=1e-10)
+    assert not np.allclose(scaled_logits[20:], full[20:])
 
 
 @pytest.mark.parametrize("n_ctx, n_ans, sink, window, batch", [
@@ -197,7 +201,6 @@ def test_scaled_answer_rows_match_full_sequence_oracle(n_ctx, n_ans, sink, windo
     toy.set_trainable(False)
     rng = np.random.default_rng(11)
     tokens = rng.integers(0, c.vocab_size, size=(batch, n_ctx + n_ans))
-    masks = build_masks(n_ctx, n_ans, sink, window)
     alpha0 = rng.uniform(0.5, 1.5, c.factor_shape)
     alpha0[1, 0] = 0.0  # a head whose middle keys all score 0
     weights = toy.weights_numpy()
@@ -206,16 +209,16 @@ def test_scaled_answer_rows_match_full_sequence_oracle(n_ctx, n_ans, sink, windo
         return np.stack([helpers.reference_scaled_forward(weights, c, row, n_ans, a, sink,
                                                           window)[0][n_ctx:] for row in tokens])
 
-    got = pm.forward_scaled(toy, tokens, n_ans, alpha0, masks).h_last.data
+    got = scaled_rows(toy, tokens, n_ans, alpha0, sink, window).data
     np.testing.assert_allclose(got, oracle_h_last(alpha0), rtol=0, atol=1e-10)
 
-    h_full = pm.forward_full(toy, tokens, n_ans).h_last.data
+    h_full = pm._forward(toy, tokens).data[:, n_ctx:]
     teacher = pm.answer_rows(toy, pm.context_kv(toy, tokens, n_ans), tokens, n_ans)
     assert type(teacher) is np.ndarray  # the unscaled pass builds no graph
     np.testing.assert_allclose(teacher, h_full, rtol=0, atol=1e-10)
     for lam in (0.0, 0.06):
         alpha = ad.Tensor(alpha0.copy(), requires_grad=True)
-        masking.stage1_loss(h_full, pm.forward_scaled(toy, tokens, n_ans, alpha, masks).h_last,
+        masking.stage1_loss(h_full, scaled_rows(toy, tokens, n_ans, alpha, sink, window),
                             alpha, lam).backward()
         fd = ad.finite_difference_gradient(
             lambda a: ((oracle_h_last(a) - h_full) ** 2).sum() + lam * np.abs(a).sum(),
@@ -234,8 +237,7 @@ def test_unit_factor_student_equals_teacher_bit_for_bit(batch):
     toy = ToyTransformer.create(c, seed=0)
     tokens = np.random.default_rng(batch).integers(0, c.vocab_size, size=(batch, 200))
     ctx = pm.context_kv(toy, tokens, 1)
-    student = pm.answer_rows(toy, ctx, tokens, 1, np.ones(c.factor_shape),
-                             build_masks(199, 1, sink=16, window=64))
+    student = pm.answer_rows(toy, ctx, tokens, 1, np.ones(c.factor_shape), sink=16, window=64)
     np.testing.assert_array_equal(student.data, pm.answer_rows(toy, ctx, tokens, 1))
 
 
@@ -254,8 +256,8 @@ def test_gqa_matches_replicated_mha():
         params[f"l0.{name}"] = ad.Tensor(rep)
     mha = ToyTransformer(mha_cfg, params)
     tokens = np.random.default_rng(8).integers(0, 32, size=10)
-    a = pm.forward_full(gqa, tokens, 1).logits.data
-    b = pm.forward_full(mha, tokens, 1).logits.data
+    a = full_logits(gqa, tokens)
+    b = full_logits(mha, tokens)
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -264,28 +266,33 @@ def test_batched_forward_matches_single():
     rng = np.random.default_rng(9)
     t1 = rng.integers(0, TINY.vocab_size, size=10)
     t2 = rng.integers(0, TINY.vocab_size, size=10)
-    batch = pm.forward_full(toy, np.stack([t1, t2]), 2)
-    s1 = pm.forward_full(toy, t1, 2)
-    np.testing.assert_allclose(batch.logits.data[0], s1.logits.data, atol=1e-10)
-    np.testing.assert_allclose(batch.h_last.data[0], s1.h_last.data, atol=1e-10)
+    batch = pm._forward(toy, np.stack([t1, t2])).data[0]
+    s1 = pm._forward(toy, t1[None]).data[0]
+    lm_head = toy.params["lm_head"].data
+    np.testing.assert_allclose(batch @ lm_head, s1 @ lm_head, atol=1e-10)
+    np.testing.assert_allclose(batch[8:], s1[8:], atol=1e-10)
 
 
 def test_forward_input_validation():
     toy = ToyTransformer.create(TINY, seed=0)
-    with pytest.raises(ValueError):
-        pm.forward_full(toy, np.zeros(TINY.max_pos + 1, dtype=int), 1)
-    with pytest.raises(ValueError):
-        pm.forward_full(toy, np.zeros(8, dtype=int), 9)
-    masks = build_masks(4, 1, 1, 2)
-    with pytest.raises(ValueError):
-        pm.forward_scaled(toy, np.zeros(8, dtype=int), 1, np.ones(TINY.factor_shape), masks)
-    with pytest.raises(ad.ShapeError):
-        pm.forward_scaled(toy, np.zeros(5, dtype=int), 1, np.ones((1, 1, 2)), masks)
-    with pytest.raises(ValueError, match="masks"):
-        pm.forward_scaled(toy, np.zeros(5, dtype=int), 1, np.ones(TINY.factor_shape), None)
+    ones = np.ones(TINY.factor_shape)
+    with pytest.raises(ValueError, match="exceeds max_pos"):
+        pm._forward(toy, np.zeros((1, TINY.max_pos + 1), dtype=int))
     with pytest.raises(ValueError, match="no context"):
-        pm.forward_scaled(toy, np.zeros(3, dtype=int), 3, np.ones(TINY.factor_shape),
-                          build_masks(0, 3, 0, 0))
+        pm.context_kv(toy, np.zeros((1, 8), dtype=int), 9)
+    with pytest.raises(ValueError, match="exceeds context length"):
+        scaled_rows(toy, np.zeros((1, 8), dtype=int), 1, ones, sink=4, window=4)
+    with pytest.raises(ad.ShapeError):
+        scaled_rows(toy, np.zeros((1, 5), dtype=int), 1, np.ones((1, 1, 2)), sink=1, window=2)
+    with pytest.raises(ValueError, match="sink and a window"):
+        scaled_rows(toy, np.zeros((1, 5), dtype=int), 1, ones, sink=None, window=None)
+    with pytest.raises(ValueError, match="no context"):
+        scaled_rows(toy, np.zeros((1, 3), dtype=int), 3, ones, sink=0, window=0)
+    # 18 tokens past a max_pos of 16: the 16-token context passes its own check
+    short = ToyTransformer.create(replace(TINY, max_pos=16), seed=0)
+    tokens = np.zeros((1, 18), dtype=int)
+    with pytest.raises(ValueError, match="sequence length 18 exceeds max_pos 16"):
+        pm.answer_rows(short, pm.context_kv(short, tokens, 2), tokens, 2)
 
 
 def test_layers_on_ndarrays_match_tensors():

@@ -3,9 +3,12 @@
 
 Runs `benchmarks/run.py` of two trees in alternating pairs: pair 1 runs the
 parent tree first, pair 2 this checkout (the change) first, and so on. Each
-tree runs its own `benchmarks/run.py` against its own `src/`. The parent is
-a commit, exported with `git archive` into a temporary directory. The
-protocol is fixed: seed 1 and 20 s a run (1 s at `--tiny`, which is for the
+tree runs its own `benchmarks/run.py` against its own `src/`. Both trees run
+from one temporary directory, as `<tmp>/parent` and `<tmp>/change`, since
+peak RSS moves with the length of the path a tree runs from. The parent is
+a commit, exported with `git archive`; the change is a copy of the
+checkout's working-tree files, tracked and untracked but not ignored, so
+uncommitted edits are measured too. The protocol is fixed: seed 1 and 20 s a run (1 s at `--tiny`, which is for the
 smoke test). For every workload and end-to-end metric, and every figure
 run.py prints by name, it records every run's value, each tree's median
 and interquartile range, the change/parent ratio of the medians and the
@@ -25,6 +28,7 @@ noise floor.
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,13 +41,26 @@ TREES = ("parent", "change")
 SEED = 1
 
 
-def export_tree(parent, tmp):
-    """Export commit `parent` into `tmp` and return its path."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", parent],
-                         check=True, stdout=subprocess.PIPE).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(tmp, filter="data")
-    return Path(tmp)
+def git(*args):
+    """The stdout bytes of a git command run in the checkout."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          stdout=subprocess.PIPE).stdout
+
+
+def export_trees(parent, tmp):
+    """{tree: path} of commit `parent`, exported into `<tmp>/parent`, and of
+    this checkout's working-tree files, copied into `<tmp>/change`."""
+    trees = {tree: Path(tmp) / tree for tree in TREES}
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", parent))) as archive:
+        archive.extractall(trees["parent"], filter="data")
+    files = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in files.split("\0"):
+        src = ROOT / name
+        if name and src.is_file():  # a tracked file deleted in the working tree is left out
+            dest = trees["change"] / name
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest)
+    return trees
 
 
 def run_once(tree, workload, args):
@@ -109,7 +126,7 @@ def bench(args):
                            "order": "parent first in odd pairs, change first in even pairs"},
               "machine": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": export_tree(args.parent, tmp), "change": ROOT}
+        trees = export_trees(args.parent, tmp)
         for workload in workloads:
             runs = {tree: [] for tree in TREES}
             entry = {"attempted": dict.fromkeys(TREES, 0), "failed": dict.fromkeys(TREES, 0)}
