@@ -250,10 +250,10 @@ def answer_loss(model, batch):
     n_ans = len(batch[0].ans_tokens)
     t = tokens.shape[1]
     n_ctx = t - n_ans
-    logits = _forward(model, tokens) @ model.params["lm_head"]
     # position i predicts token i+1: answer tokens are predicted from rows
-    # n_ctx-1 .. n_ctx+n_ans-2
-    flat = logits[:, n_ctx - 1:t - 1, :].reshape(len(batch) * n_ans, model.config.vocab_size)
+    # n_ctx-1 .. n_ctx+n_ans-2; the full (B, T, vocab) logits are freed once sliced
+    flat = ((_forward(model, tokens) @ model.params["lm_head"])[:, n_ctx - 1:t - 1, :]
+            .reshape(len(batch) * n_ans, model.config.vocab_size))
     return ad.cross_entropy(flat, tokens[:, n_ctx:].reshape(-1))
 
 

@@ -64,6 +64,22 @@ def test_getitem_repeated_index_accumulates():
     np.testing.assert_array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("idx", [2, (slice(None), slice(1, 3)), (Ellipsis, 0),
+                                 (None, 1, slice(None, None, -2)), (np.int64(1), Ellipsis, None)])
+def test_getitem_basic_index_grad_equals_scatter_add(idx):
+    # basic indexing selects no element twice, so `+=` gives np.add.at's bits
+    assert ad._is_basic(idx)
+    x0 = RNG.normal(size=(3, 4, 5))
+    x = Tensor(x0, requires_grad=True)
+    g = RNG.normal(size=x0[idx].shape)
+    ad.tsum(x[idx] * g).backward()
+    want = np.zeros_like(x0)
+    np.add.at(want, idx, g)
+    np.testing.assert_array_equal(x.grad, want)
+    for fancy in (np.array([1, 1]), [0, 2], (slice(None), np.array([0, 0])), True):
+        assert not ad._is_basic(fancy)
+
+
 def test_sum_mean_axis_grad():
     fd_check(lambda x: ad.sum_squares(x.sum(axis=1, keepdims=True) + x.sum(axis=0) * (1.0 / 3)),
              RNG.normal(size=(3, 4)))
@@ -287,6 +303,20 @@ def test_backward_returns_leaf_map():
     np.testing.assert_array_equal(w.grad, [1.0, 2.0])
 
 
+def test_backward_consumes_the_graph():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = x * 3.0
+    loss = ad.sum_squares(h)
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        ad.tsum(h).backward()  # a new loss over a consumed node
+    np.testing.assert_array_equal(x.grad, [18.0, 36.0])  # no second set of gradients
+    np.testing.assert_array_equal(h.data, [3.0, 6.0])  # a held value keeps its data
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
@@ -410,3 +440,29 @@ def test_fit_releases_each_steps_graph_before_the_next():
 
     ad.fit([p], 0.1, 3, step_loss)
     assert len(refs) == 3
+
+
+def owner(a):
+    """The ndarray that owns `a`'s memory."""
+    return a if a.base is None else a.base
+
+
+def test_graph_keeps_only_the_arrays_backward_reads():
+    # rope_rotate's gradient reads only its tables, so the matmul product
+    # under it is freed as soon as the forward drops it; the operand the
+    # weight gradient reads lives until backward has passed it
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+    cos, sin = ad.rope_angles(4, np.arange(3), 10000.0)
+    h = x * 2.0
+    saved = weakref.ref(owner(h.data))
+    prod = ad.matmul(h, w)
+    product = weakref.ref(owner(prod.data))
+    loss = ad.sum_squares(ad.rope_rotate(prod.reshape(3, 2, 4), cos[:, None], sin[:, None]))
+    del h, prod
+    assert product() is None
+    assert saved() is not None
+    loss.backward()
+    assert saved() is None
+    assert x.grad is not None and w.grad is not None

@@ -347,16 +347,41 @@ def test_pretrain_determinism():
     np.testing.assert_array_equal(out[0][1], out[1][1])
 
 
+def default_model_and_longest_batch():
+    """The default model and 8 dense_retrieval samples of 127 tokens, the
+    longest pretraining batch of the default mix."""
+    cfg = ModelConfig()
+    batch = [tasks.generate(tasks.TaskSpec(kind=tasks.DENSE_RETRIEVAL, seq_len=128, seed=i,
+                                           vocab_size=cfg.vocab_size)) for i in range(8)]
+    assert len(batch[0].tokens) == 127
+    return ToyTransformer.create(cfg, seed=0), batch
+
+
+def test_answer_loss_backward_memory_bound():
+    # each backward closure keeps only the arrays its formula reads (not
+    # pre-RoPE q and k, the head-grouped attention output, the wo and w_down
+    # products or the full logits) and backward frees each node's as it
+    # passes it (about 111 MiB traced; 146 MiB when every node's forward
+    # value and closure lived until backward returned)
+    toy, batch = default_model_and_longest_batch()
+    toy.set_trainable(True)
+    tracemalloc.start()
+    try:
+        pm.answer_loss(toy, batch).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in toy.parameters())
+    assert peak < 120 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_pretrain_step_memory_bound():
     # one default-config step on 8 dense_retrieval samples at T=127: the
     # attention graph keeps one (B, n_kv, g, T, T) probability array per
     # layer and interior gradients are dropped as backward passes them on
-    # (about 157 MiB traced; 394 MiB with the unfused attention chain)
-    cfg = ModelConfig()
-    toy = ToyTransformer.create(cfg, seed=0)
-    batch = [tasks.generate(tasks.TaskSpec(kind=tasks.DENSE_RETRIEVAL, seq_len=128, seed=i,
-                                           vocab_size=cfg.vocab_size)) for i in range(8)]
-    assert len(batch[0].tokens) == 127
+    # (about 122 MiB traced with Adam's state; 394 MiB with the unfused
+    # attention chain)
+    toy, batch = default_model_and_longest_batch()
     tracemalloc.start()
     try:
         _, losses = pm.pretrain(toy, lambda rng: batch, steps=1, lr=1e-3)
