@@ -6,31 +6,12 @@ high-frequency-ratio head classification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cache import np_forward
 from .masking import BinaryChannelMask, round_half_up, select_mask, top_channels
 
 DEFAULT_OBS_WINDOW = 64
-
-
-@dataclass
-class ChannelNormVector:
-    """Per-channel share of the query-key logit norm, flattened (L, n_kv, d)."""
-
-    values: np.ndarray
-    obs_window: int
-    zero_denominator: bool = False
-
-
-@dataclass
-class HeadFreqProfile:
-    """Per-head share of logit norm carried by high-frequency channels."""
-
-    w_hf: np.ndarray  # (L, n_kv)
-    high_boundary: int  # channel pairs counted as high frequency
 
 
 def record_qk(model, sample):
@@ -57,21 +38,18 @@ def _head_blocks(model, sample, q_window):
 
 
 def channel_norm_ratios(model, sample, obs_window=DEFAULT_OBS_WINDOW):
-    """Frobenius-norm share of each key channel's logit contribution.
+    """Frobenius-norm share of each key channel's logit contribution, as an
+    (L, n_kv, d) array; a head whose logits are all zero scores 0.
 
     Queries are restricted to the last `obs_window` positions; each KV head
     pools the queries of all its group members.
     """
     values = np.zeros(model.config.factor_shape)
-    zero_den = False
     for i, j, qj, kj, den in _head_blocks(model, sample, obs_window):
-        if den == 0.0:
-            zero_den = True
-            continue
-        # ||q_[ch] k_[ch]^T||_F = ||q_[ch]|| * ||k_[ch]|| for rank-1 outer products
-        values[i, j] = np.linalg.norm(qj, axis=0) * np.linalg.norm(kj, axis=0) / den
-    return ChannelNormVector(values=values.reshape(-1), obs_window=obs_window,
-                             zero_denominator=zero_den)
+        if den != 0.0:
+            # ||q_[ch] k_[ch]^T||_F = ||q_[ch]|| * ||k_[ch]|| for rank-1 outer products
+            values[i, j] = np.linalg.norm(qj, axis=0) * np.linalg.norm(kj, axis=0) / den
+    return values
 
 
 def pearson(a, b):
@@ -96,7 +74,8 @@ def staticity_matrix(model, samples_by_label, obs_window=DEFAULT_OBS_WINDOW):
     labels = list(samples_by_label)
     vectors = []
     for label in labels:
-        vs = [channel_norm_ratios(model, s, obs_window).values for s in samples_by_label[label]]
+        vs = [channel_norm_ratios(model, s, obs_window).reshape(-1)
+              for s in samples_by_label[label]]
         vectors.append(np.mean(vs, axis=0))
     n = len(labels)
     mat = np.eye(n)
@@ -110,9 +89,8 @@ def static_norm_mask(model, samples, keep_ratio, r, obs_window=DEFAULT_OBS_WINDO
     """Offline mask from channel norms averaged over calibration samples."""
     if not samples:
         raise ValueError("need at least one calibration sample")
-    shape = model.config.factor_shape
-    mean = np.mean([channel_norm_ratios(model, s, obs_window).values for s in samples], axis=0)
-    return select_mask(mean.reshape(shape), keep_ratio, r)
+    mean = np.mean([channel_norm_ratios(model, s, obs_window) for s in samples], axis=0)
+    return select_mask(mean, keep_ratio, r)
 
 
 def dynamic_norm_mask(model, sample, keep_ratio, q_window):
@@ -121,7 +99,7 @@ def dynamic_norm_mask(model, sample, keep_ratio, q_window):
     if q_window < 1:
         raise ValueError("q_window must be >= 1")
     c = model.config
-    scores = channel_norm_ratios(model, sample, q_window).values.reshape(c.factor_shape)
+    scores = channel_norm_ratios(model, sample, q_window)
     budget = int(round_half_up(keep_ratio * c.head_dim))
     return BinaryChannelMask(bits=top_channels(scores, budget), r=1, keep_ratio=keep_ratio)
 
@@ -145,8 +123,8 @@ def freq_profile(mask_or_values):
 
 
 def high_freq_ratio(model, sample, high_boundary=None):
-    """Per-head ratio of logit norm carried by the high-frequency channels,
-    for the last query row.
+    """Per-head (L, n_kv) ratio of logit norm carried by the high-frequency
+    channels, for the last query row; a head whose logits are all zero scores 0.
 
     High frequency means the lowest `high_boundary` pair indices (both pair
     members). Defaults to half the pairs.
@@ -162,17 +140,17 @@ def high_freq_ratio(model, sample, high_boundary=None):
     for i, j, qj, kj, den in _head_blocks(model, sample, 1):
         if den != 0.0:
             w_hf[i, j] = np.linalg.norm(qj[:, high] @ kj[:, high].T) / den
-    return HeadFreqProfile(w_hf=w_hf, high_boundary=high_boundary)
+    return w_hf
 
 
-def convert_streaming_by_whf(profile, fraction):
+def convert_streaming_by_whf(w_hf, fraction):
     """The `fraction` of all heads with the highest w_hf, to force into
     streaming mode; ties break by (layer, head) index."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    flat = profile.w_hf.reshape(-1)
+    flat = w_hf.reshape(-1)
     n = flat.size
     count = int(round_half_up(fraction * n))
     order = np.lexsort((np.arange(n), -flat))
-    n_heads = profile.w_hf.shape[1]
+    n_heads = w_hf.shape[1]
     return [(int(i // n_heads), int(i % n_heads)) for i in order[:count]]

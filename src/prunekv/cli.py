@@ -41,8 +41,7 @@ def cmd_pretrain(args):
 
 def cmd_learn_mask(args):
     cfg = _load_config(args)
-    alpha_path, beta_path = experiment.cmd_learn_mask(cfg, args.checkpoint,
-                                                      out_dir=args.out, alpha_in=args.alpha)
+    alpha_path, beta_path = experiment.cmd_learn_mask(cfg, args.checkpoint, out_dir=args.out)
     print(f"alpha written to {alpha_path}")
     print(f"beta written to {beta_path}")
     return EXIT_OK
@@ -96,9 +95,9 @@ def cmd_analyze(args):
                          [[i, float(v)] for i, v in enumerate(prof)])
     else:  # whf; argparse rejects other values
         sample = experiment.calib_samples(cfg)[0]
-        prof = analysis.high_freq_ratio(toy, sample)
-        rows = [[i, j, float(prof.w_hf[i, j])]
-                for i in range(prof.w_hf.shape[0]) for j in range(prof.w_hf.shape[1])]
+        w_hf = analysis.high_freq_ratio(toy, sample)
+        rows = [[i, j, float(w_hf[i, j])]
+                for i in range(w_hf.shape[0]) for j in range(w_hf.shape[1])]
         path = os.path.join(out, "whf.csv")
         storage.save_csv(path, ["layer", "head", "w_hf"], rows)
     print(f"analysis written to {path}")
@@ -157,7 +156,6 @@ def build_parser():
     p = sub.add_parser("learn-mask", help="run both mask-learning stages")
     _add_common(p)
     p.add_argument("checkpoint")
-    p.add_argument("--alpha", help="resume from saved stage-1 factors")
     p.set_defaults(func=cmd_learn_mask)
 
     p = sub.add_parser("eval", help="greedy-decode accuracy of one cache policy")

@@ -228,26 +228,22 @@ def probe_loss(toy, samples):
     return sum(float(model_mod.answer_loss(toy, [s]).data) for s in samples) / len(samples)
 
 
-def cmd_learn_mask(cfg, checkpoint, out_dir=None, alpha_in=None):
+def cmd_learn_mask(cfg, checkpoint, out_dir=None):
     """Run both training stages; persists alpha, beta, and loss curves."""
     out = out_dir or cfg.resolve_out()
     toy = storage.load_checkpoint(checkpoint)
     check_model(cfg, toy)  # both stages draw their batches from the config
-    alpha = storage.load_alpha(alpha_in, toy.config)[0] if alpha_in is not None else None
     os.makedirs(out, exist_ok=True)  # after the checks, before minutes of training
     spec = cfg.train_spec()
     stream = make_mask_stream(cfg)
-    losses1 = []
-    if alpha is None:
-        alpha, losses1 = masking.stage1_train(toy, stream, spec)
+    alpha, losses1 = masking.stage1_train(toy, stream, spec)
     curves = [("stage1", i, l) for i, l in enumerate(losses1)]
     beta, alpha2, losses2 = masking.stage2_train(toy, stream, alpha, cfg.keep_ratio,
                                                  cfg.align, spec)
     curves += [("stage2", i, l) for i, l in enumerate(losses2)]
     alpha_path = os.path.join(out, "alpha.pkv")
     beta_path = os.path.join(out, "beta.pkv")
-    storage.save_alpha(alpha_path, alpha2, toy.config,
-                       extra={"stage1_alpha": False, "config_hash": cfg.hash()})
+    storage.save_alpha(alpha_path, alpha2, toy.config, extra={"config_hash": cfg.hash()})
     storage.save_beta(beta_path, beta, toy.config)
     storage.save_csv(os.path.join(out, "mask_curves.csv"), ["stage", "step", "loss"], curves)
     return alpha_path, beta_path
@@ -288,8 +284,8 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
             return analysis.dynamic_norm_mask(toy, ctx_only, cfg.keep_ratio, cfg.q_window)
         beta = None
     elif mode == MODE_WHF_STREAMING:
-        profile = analysis.high_freq_ratio(toy, calib_samples(cfg)[0])
-        chosen = analysis.convert_streaming_by_whf(profile, cfg.whf_fraction)
+        w_hf = analysis.high_freq_ratio(toy, calib_samples(cfg)[0])
+        chosen = analysis.convert_streaming_by_whf(w_hf, cfg.whf_fraction)
         bits = np.ones(c.factor_shape, dtype=np.uint8)
         bits[tuple(np.array(chosen, dtype=np.int64).reshape(-1, 2).T)] = 0  # they stream
         beta = masking.BinaryChannelMask(bits=bits, r=1, keep_ratio=float(bits.mean()))

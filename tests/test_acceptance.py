@@ -7,6 +7,7 @@ to take a few minutes.
 """
 import filecmp
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,38 +46,36 @@ def announce(capfd):
     return emit
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Pretrain the toy model once, learn masks at every grid ratio, and
-    evaluate every cache policy needed by the pipeline criteria."""
-    out = str(tmp_path_factory.mktemp("pipeline"))
-    cfg0 = pipeline_config(PRUNE_GRID[0])
-    ckpt = cmd_pretrain(cfg0, out_dir=out)
-    toy = storage.load_checkpoint(ckpt)
-    samples = eval_samples(cfg0)
-    full_acc, _ = evaluate_mode(cfg0, toy, "full", samples)
+def run_pipeline(cfg, out):
+    """Pretrain the toy model of `cfg` into `out`, learn masks at every grid
+    ratio, and evaluate every cache policy the pipeline criteria compare."""
+    toy = storage.load_checkpoint(cmd_pretrain(cfg, out_dir=out))
+    samples = eval_samples(cfg)
+    full_acc, _ = evaluate_mode(cfg, toy, "full", samples)
 
-    alpha, _ = masking.stage1_train(toy, make_mask_stream(cfg0), cfg0.train_spec())
-    learned_acc, betas = {}, {}
+    alpha, _ = masking.stage1_train(toy, make_mask_stream(cfg), cfg.train_spec())
+    learned_acc = {}
     for pr in PRUNE_GRID:
-        cfg = pipeline_config(pr)
-        beta, _, _ = masking.stage2_train(toy, make_mask_stream(cfg), alpha,
-                                          cfg.keep_ratio, cfg.align, cfg.train_spec())
-        betas[pr] = beta
-        learned_acc[pr], _ = evaluate_mode(cfg, toy, "learned", samples, beta=beta)
+        c = replace(cfg, prune_ratio=pr)
+        beta, _, _ = masking.stage2_train(toy, make_mask_stream(c), alpha,
+                                          c.keep_ratio, c.align, c.train_spec())
+        learned_acc[pr], _ = evaluate_mode(c, toy, "learned", samples, beta=beta)
 
     retained = [pr for pr in PRUNE_GRID if learned_acc[pr] >= 0.85]
     chosen = max(retained) if retained else None
-    result = {"toy": toy, "out": out, "alpha": alpha, "samples": samples,
-              "full_acc": full_acc, "learned_acc": learned_acc, "betas": betas,
-              "chosen": chosen}
+    result = {"toy": toy, "full_acc": full_acc, "learned_acc": learned_acc, "chosen": chosen}
     if chosen is not None:
-        cfg = pipeline_config(chosen)
-        beta1 = masking.top_s_r(alpha, cfg.keep_ratio, cfg.align)
-        result["stage1_acc"], _ = evaluate_mode(cfg, toy, "learned", samples, beta=beta1)
-        result["static_acc"], _ = evaluate_mode(cfg, toy, "static_norm", samples)
-        result["dynamic_acc"], _ = evaluate_mode(cfg, toy, "dynamic_norm", samples)
+        c = replace(cfg, prune_ratio=chosen)
+        beta1 = masking.top_s_r(alpha, c.keep_ratio, c.align)
+        result["stage1_acc"], _ = evaluate_mode(c, toy, "learned", samples, beta=beta1)
+        result["static_acc"], _ = evaluate_mode(c, toy, "static_norm", samples)
+        result["dynamic_acc"], _ = evaluate_mode(c, toy, "dynamic_norm", samples)
     return result
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    return run_pipeline(pipeline_config(PRUNE_GRID[0]), str(tmp_path_factory.mktemp("pipeline")))
 
 
 def small_config(seed):
@@ -308,8 +307,7 @@ def test_criterion_10_analysis_oracles(announce):
         layers = analysis.record_qk(toy, sample)
 
         obs = int(rng.integers(1, t + 1))
-        got = analysis.channel_norm_ratios(toy, sample, obs_window=obs)
-        vals = got.values.reshape(c.factor_shape)
+        vals = analysis.channel_norm_ratios(toy, sample, obs_window=obs)
         for li, (q, k) in enumerate(layers):
             want = helpers.brute_force_channel_ratios(q[t - obs:], k, c.group_size)
             worst_ratio = max(worst_ratio, float(np.abs(vals[li] - want).max()))
@@ -323,7 +321,7 @@ def test_criterion_10_analysis_oracles(announce):
                 kj = k[:, j]
                 den = np.sqrt(((qj @ kj.T) ** 2).sum())
                 want = np.sqrt(((qj[:, high] @ kj[:, high].T) ** 2).sum()) / den
-                worst_whf = max(worst_whf, abs(prof.w_hf[li, j] - want))
+                worst_whf = max(worst_whf, abs(prof[li, j] - want))
 
         values = rng.normal(size=c.factor_shape)
         prof_f = analysis.freq_profile(values)
