@@ -14,7 +14,7 @@ from .cache import (PartitionedKVCache, decode_step, greedy_decode, memory_repor
 from .analysis import (channel_norm_ratios, dynamic_norm_mask, freq_profile,
                        high_freq_ratio, pearson, static_norm_mask, staticity_matrix)
 from .experiment import ExperimentConfig
-from .storage import load_alpha, load_beta, load_checkpoint, save_alpha, save_beta, save_checkpoint
+from .storage import load_beta, load_checkpoint, save_alpha, save_beta, save_checkpoint
 
 __all__ = [
     "Adam", "DivergenceError", "ShapeError", "Tensor",
@@ -26,7 +26,7 @@ __all__ = [
     "channel_norm_ratios", "dynamic_norm_mask", "freq_profile", "high_freq_ratio",
     "pearson", "static_norm_mask", "staticity_matrix",
     "ExperimentConfig",
-    "load_alpha", "load_beta", "load_checkpoint", "save_alpha", "save_beta", "save_checkpoint",
+    "load_beta", "load_checkpoint", "save_alpha", "save_beta", "save_checkpoint",
 ]
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 Just enough machinery to backpropagate a distillation loss through a small
 transformer: broadcasting elementwise ops, batched matmul, fused attention /
-normalization primitives, an Adam optimizer, and a finite-difference oracle.
-All arithmetic is 64-bit. A backward closure computes an operand's gradient
-only if that operand requires one, and keeps only the arrays it reads.
+normalization primitives, and an Adam optimizer. All arithmetic is 64-bit.
+A backward closure computes an operand's gradient only if that operand
+requires one, and keeps only the arrays it reads.
 """
 from __future__ import annotations
 
@@ -151,9 +151,6 @@ class Tensor:
 
     def transpose(self, *axes):
         return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -338,20 +335,6 @@ def getitem(a, idx):
     return _node(a.data[idx], (na,), bwd)
 
 
-def tsum(a, axis=None, keepdims=False):
-    a = _lift(a)
-    na, a_shape = _grad_node(a), a.shape
-
-    def bwd(g):
-        if axis is None:
-            _accum(na, np.broadcast_to(g, a_shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(na, np.broadcast_to(gg, a_shape).copy())
-
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (na,), bwd)
-
-
 def l1_norm(a):
     """Sum of absolute values; subgradient at 0 is 0."""
     a = _lift(a)
@@ -375,9 +358,9 @@ def sum_squares(a):
 
 
 # Plain-ndarray kernels. The Tensor ops below take their forward values from
-# them; `softmax`, `rms_norm`, `silu` and `rope_rotate` (and `concat` above)
-# return the plain result when given ndarrays, so one layer body serves
-# Tensors and plain numpy.
+# them; `rms_norm`, `silu` and `rope_rotate` (and `concat` above) return the
+# plain result when given ndarrays, so one layer body serves Tensors and
+# plain numpy.
 
 def softmax_(z):
     """Softmax over the last axis, normalised in place in `z`, which is returned."""
@@ -423,8 +406,6 @@ def softmax(a, additive_mask=None):
     Masked-out positions should carry a large negative value in the mask
     (selection semantics), never a multiplicative zero.
     """
-    if isinstance(a, np.ndarray):
-        return softmax_(a.copy() if additive_mask is None else a + additive_mask)
     a = _lift(a)
     p = softmax_(a.data.copy() if additive_mask is None else a.data + additive_mask)
     na = _grad_node(a)
@@ -563,25 +544,6 @@ def cross_entropy(logits, targets):
         _accum(nl, (float(g) / n) * p)
 
     return _node(nll.mean(), (nl,), bwd)
-
-
-def finite_difference_gradient(f, x, eps=1e-5):
-    """Central-difference gradient of scalar function `f` at ndarray `x`."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f(x))
-        flat[i] = orig - eps
-        lo = float(f(x))
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad
 
 
 class Adam:

@@ -6,7 +6,7 @@ the exact config that produced them and contain no wall-clock data.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -233,8 +233,11 @@ def cmd_learn_mask(cfg, checkpoint, out_dir=None):
     out = out_dir or cfg.resolve_out()
     toy = storage.load_checkpoint(checkpoint)
     check_model(cfg, toy)  # both stages draw their batches from the config
-    os.makedirs(out, exist_ok=True)  # after the checks, before minutes of training
     spec = cfg.train_spec()
+    if spec.seq_len_range[1] > toy.config.max_pos:
+        raise ValueError(f"train seq_len_range {spec.seq_len_range} reaches past "
+                         f"max_pos {toy.config.max_pos}")
+    os.makedirs(out, exist_ok=True)  # after the checks, before minutes of training
     stream = make_mask_stream(cfg)
     alpha, losses1 = masking.stage1_train(toy, stream, spec)
     curves = [("stage1", i, l) for i, l in enumerate(losses1)]
@@ -278,9 +281,7 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
     elif mode == MODE_DYNAMIC_NORM:
         def per_sample_mask(s):
             # score on the context only; the answer is never visible
-            ctx_only = tasks.TaskSample(ctx_tokens=s.ctx_tokens,
-                                        ans_tokens=np.empty(0, dtype=np.int64),
-                                        query_key=s.query_key)
+            ctx_only = replace(s, ans_tokens=np.empty(0, dtype=np.int64))
             return analysis.dynamic_norm_mask(toy, ctx_only, cfg.keep_ratio, cfg.q_window)
         beta = None
     elif mode == MODE_WHF_STREAMING:

@@ -6,8 +6,10 @@ performs retrieval before pruning. Region scaling changes only the answer
 rows (they see the sink + local window full-width and a per-channel-scaled
 middle, split by `cache.middle_end`), so the scaled pass runs just those
 rows, through Tensor ops, against the keys and values of one plain-numpy
-context pass. One layer body, `layers`, runs every pass: pretraining and
-mask learning on Tensors, prefill and decode (`cache`) on ndarrays.
+context pass; at unit factors it is the unscaled pass, bit for bit, so the
+distillation teacher is the same pass. One layer body, `layers`, runs every
+pass: pretraining and mask learning on Tensors, prefill and decode (`cache`)
+on ndarrays.
 """
 from __future__ import annotations
 
@@ -193,43 +195,37 @@ def context_kv(model, tokens, n_ans):
                   for j in (0, 1)) for i in range(c.n_layers)]
 
 
-def answer_rows(model, ctx, tokens, n_ans, factors=None, sink=None, window=None):
+def answer_rows(model, ctx, tokens, n_ans, factors, sink, window):
     """Final-norm hidden states (B, n_ans, d_model) of the last `n_ans` rows
     of `tokens` (B, T), attending to the `context_kv` keys and values `ctx`
-    and to each other.
+    and to each other, region-scaled by `factors` (L, n_kv, d).
 
-    Without `factors` attention is plain causal. With `factors` (L, n_kv, d)
-    it is region-scaled by the `sink`/`window` split: keys in a row's middle
-    (`cache.middle_end`), answer keys included, score with their channels
-    scaled by the head's factors, all other keys at full width. The factors
-    scale q, as (a * q) . k = q . (a * k), so the graph holds no (T, T)
-    array: its scores and region masks are (B, n_kv, g, n_ans, T) and
-    (n_ans, T). The weights are constants here; only `factors` carries a
-    gradient. Without `factors` every step is plain numpy and the result is
-    an ndarray; with them the rows become Tensors at the first factor
-    product.
+    Keys in a row's middle (`cache.middle_end` of the `sink`/`window`
+    split), answer keys included, score with their channels scaled by the
+    head's factors, all other keys at full width. The factors scale q, as
+    (a * q) . k = q . (a * k), so the graph holds no (T, T) array: its scores
+    and region masks are (B, n_kv, g, n_ans, T) and (n_ans, T). The weights
+    are constants here; only `factors` can carry a gradient, and the rows
+    become Tensors at the first factor product. At unit factors every key
+    scores exactly as under plain causal attention, which makes this the
+    distillation teacher too.
     """
     c = model.config
     t = tokens.shape[1]
     if t > c.max_pos:
         raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
     n_ctx, d = t - n_ans, c.head_dim
+    if sink + window > n_ctx:
+        raise ValueError(f"sink+window = {sink + window} exceeds context length {n_ctx}")
+    if not isinstance(factors, Tensor):
+        factors = Tensor(factors)
+    if factors.shape != c.factor_shape:
+        raise ad.ShapeError(f"factors shape {factors.shape} != {c.factor_shape}")
     pos, seen = np.arange(t), np.arange(n_ctx + 1, t + 1)  # answer row n - 1 sees n keys
     causal = pos < seen[:, None]
-    if factors is not None:
-        if sink is None or window is None:
-            raise ValueError("scaled forward requires a sink and a window")
-        if sink + window > n_ctx:
-            raise ValueError(f"sink+window = {sink + window} exceeds context length {n_ctx}")
-        if not isinstance(factors, Tensor):
-            factors = Tensor(factors)
-        if factors.shape != c.factor_shape:
-            raise ad.ShapeError(f"factors shape {factors.shape} != {c.factor_shape}")
-        end = np.array([cache.middle_end(n, sink, window) for n in seen])
-        mid = (pos >= sink) & (pos < end[:, None])
-        f_sl, f_mid = (causal & ~mid) / np.sqrt(d), mid / np.sqrt(d)
-    else:
-        f_sl = 1.0 / np.sqrt(d)
+    end = np.array([cache.middle_end(n, sink, window) for n in seen])
+    mid = (pos >= sink) & (pos < end[:, None])
+    f_sl, f_mid = (causal & ~mid) / np.sqrt(d), mid / np.sqrt(d)
     w = model.weights_numpy()
     additive = np.where(causal, 0.0, MASK_NEG)
 
@@ -237,8 +233,7 @@ def answer_rows(model, ctx, tokens, n_ans, factors=None, sink=None, window=None)
         k_ctx, v_ctx = ctx[i]
         keys = ad.concat([k_ctx, k], axis=-2).transpose(0, 1, 2, 4, 3)
         s = (q @ keys) * f_sl
-        if factors is not None:
-            s = s + ((q * factors[i].reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
+        s = s + ((q * factors[i].reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
         return ad.softmax(s, additive_mask=additive) @ ad.concat([v_ctx, v], axis=-2)
 
     return layers(w, c, w["tok_emb"][tokens[:, n_ctx:]], n_ctx, _grouped(c, attend))

@@ -12,6 +12,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -160,24 +161,6 @@ def save_alpha(path, alpha, config, extra=None):
     save_container(path, ALPHA_KIND, meta, {"alpha": np.asarray(alpha, dtype=np.float64)})
 
 
-def _factor_array(path, arrays, name, dtype, config):
-    """`arrays[name]` if it has `dtype` and, given a config, its factor shape."""
-    if name not in arrays:
-        raise StorageError(f"{path}: array {name!r} is missing")
-    arr = arrays[name]
-    if arr.dtype != dtype or (config is not None and arr.shape != config.factor_shape):
-        raise StorageError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, expected "
-                           f"{np.dtype(dtype)} {'' if config is None else config.factor_shape}")
-    return arr
-
-
-def load_alpha(path, config=None):
-    meta, arrays = load_container(path, ALPHA_KIND)
-    if config is not None:
-        check_dims(meta, config)
-    return _factor_array(path, arrays, "alpha", np.float64, config), meta
-
-
 def save_beta(path, beta, config):
     meta = _dims_meta(config)
     meta.update({"r": beta.r, "keep_ratio": beta.keep_ratio})
@@ -188,7 +171,12 @@ def load_beta(path, config=None):
     meta, arrays = load_container(path, BETA_KIND)
     if config is not None:
         check_dims(meta, config)
-    bits = _factor_array(path, arrays, "bits", np.uint8, config)
+    if "bits" not in arrays:
+        raise StorageError(f"{path}: array 'bits' is missing")
+    bits = arrays["bits"]
+    if bits.dtype != np.uint8 or (config is not None and bits.shape != config.factor_shape):
+        raise StorageError(f"{path}: array 'bits' is {bits.dtype} {bits.shape}, expected uint8 "
+                           f"{'' if config is None else config.factor_shape}")
     try:  # BinaryChannelMask validates the per-head alignment invariant
         beta = BinaryChannelMask(bits=bits, r=int(meta["r"]), keep_ratio=float(meta["keep_ratio"]))
     except (KeyError, TypeError, ValueError) as e:
@@ -197,11 +185,7 @@ def load_beta(path, config=None):
 
 
 def save_checkpoint(path, model):
-    c = model.config
-    meta = {"config": {"n_layers": c.n_layers, "n_q_heads": c.n_q_heads,
-                       "n_kv_heads": c.n_kv_heads, "head_dim": c.head_dim,
-                       "d_model": c.d_model, "d_ff": c.d_ff, "vocab_size": c.vocab_size,
-                       "rope_base": c.rope_base, "max_pos": c.max_pos}}
+    meta = {"config": {**asdict(model.config), "d_model": model.config.d_model}}
     save_container(path, CHECKPOINT_KIND, meta,
                    {k: v.data for k, v in model.params.items()})
 

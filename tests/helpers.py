@@ -34,6 +34,25 @@ def ref_silu(x):
     return x / (1.0 + np.exp(-x))
 
 
+def finite_difference_gradient(f, x, eps=1e-5):
+    """Central-difference gradient of scalar function `f` at ndarray `x`."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = float(f(x))
+        flat[i] = orig - eps
+        lo = float(f(x))
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return grad
+
+
 def ref_full_key(p, k, sink, window):
     """Whether the query at position p scores the key at position k <= p at
     full width: k is in the sink or the local window. Other keys are its

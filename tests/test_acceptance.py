@@ -127,7 +127,7 @@ def test_criterion_02_factor_gradient_matches_finite_differences(announce):
         scaled = pm.answer_rows(toy, ctx, tokens, n_ans, alpha, sink=2, window=4)
         loss = masking.stage1_loss(h_full, scaled, alpha, lam)
         loss.backward()
-        fd = ad.finite_difference_gradient(loss_value, alpha0.copy(), eps=1e-5)
+        fd = helpers.finite_difference_gradient(loss_value, alpha0.copy(), eps=1e-5)
         rel = np.abs(alpha.grad - fd) / np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, float(rel.max()))
     ok = worst < 1e-4

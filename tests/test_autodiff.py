@@ -7,13 +7,21 @@ import pytest
 import prunekv.autodiff as ad
 from prunekv.autodiff import Tensor
 
+import helpers
+
+
+def total(t):
+    """The sum of t's entries as a scalar Tensor, whose gradient is exactly ones."""
+    return ad.reshape(t.reshape(1, -1) @ np.ones((t.data.size, 1)), ())
+
 
 def fd_check(build_loss, x0, rtol=1e-6, atol=1e-8, eps=1e-6):
     """Compare backward() gradient at x0 with central finite differences."""
     x = Tensor(x0.copy(), requires_grad=True)
     build_loss(x).backward()
     got = x.grad
-    want = ad.finite_difference_gradient(lambda a: float(build_loss(Tensor(a)).data), x0, eps)
+    want = helpers.finite_difference_gradient(lambda a: float(build_loss(Tensor(a)).data), x0,
+                                              eps)
     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
 
@@ -22,17 +30,17 @@ RNG = np.random.default_rng(7)
 
 def test_add_mul_broadcast_grad():
     b = RNG.normal(size=(1, 4))
-    fd_check(lambda x: ((x + b) * (x * 2.0 + 1.0)).sum(), RNG.normal(size=(3, 4)))
+    fd_check(lambda x: total((x + b) * (x * 2.0 + 1.0)), RNG.normal(size=(3, 4)))
 
 
 def test_sub_div_grad():
     b = RNG.normal(size=(3, 1)) + 2.0
-    fd_check(lambda x: ((x - 1.5) * (1.0 / b)).sum(), RNG.normal(size=(3, 4)))
+    fd_check(lambda x: total((x - 1.5) * (1.0 / b)), RNG.normal(size=(3, 4)))
 
 
 def test_matmul_grad():
     b = RNG.normal(size=(4, 2))
-    fd_check(lambda x: (x @ b).sum(), RNG.normal(size=(3, 4)))
+    fd_check(lambda x: total(x @ b), RNG.normal(size=(3, 4)))
 
 
 def test_batched_matmul_broadcast_grad():
@@ -60,7 +68,7 @@ def test_concat_grad_splits_between_parts():
 def test_getitem_repeated_index_accumulates():
     x = Tensor(np.arange(4.0), requires_grad=True)
     idx = np.array([1, 1, 2])
-    ad.tsum(x[idx]).backward()
+    total(x[idx]).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
 
 
@@ -72,17 +80,12 @@ def test_getitem_basic_index_grad_equals_scatter_add(idx):
     x0 = RNG.normal(size=(3, 4, 5))
     x = Tensor(x0, requires_grad=True)
     g = RNG.normal(size=x0[idx].shape)
-    ad.tsum(x[idx] * g).backward()
+    total(x[idx] * g).backward()
     want = np.zeros_like(x0)
     np.add.at(want, idx, g)
     np.testing.assert_array_equal(x.grad, want)
     for fancy in (np.array([1, 1]), [0, 2], (slice(None), np.array([0, 0])), True):
         assert not ad._is_basic(fancy)
-
-
-def test_sum_mean_axis_grad():
-    fd_check(lambda x: ad.sum_squares(x.sum(axis=1, keepdims=True) + x.sum(axis=0) * (1.0 / 3)),
-             RNG.normal(size=(3, 4)))
 
 
 def test_l1_norm_grad_and_zero_subgradient():
@@ -105,7 +108,7 @@ def test_softmax_rows_sum_to_one_and_grad():
     p = ad.softmax(Tensor(x0)).data
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
     w = RNG.normal(size=(4, 6))
-    fd_check(lambda x: (ad.softmax(x) * w).sum(), x0)
+    fd_check(lambda x: total(ad.softmax(x) * w), x0)
 
 
 def test_softmax_additive_mask_selects():
@@ -128,13 +131,13 @@ def test_rms_norm_grad():
     x0 = RNG.normal(size=(3, 6))
     w = Tensor(w0.copy(), requires_grad=True)
     ad.sum_squares(ad.rms_norm(Tensor(x0), w)).backward()
-    want = ad.finite_difference_gradient(
+    want = helpers.finite_difference_gradient(
         lambda a: float(ad.sum_squares(ad.rms_norm(Tensor(x0), Tensor(a))).data), w0)
     np.testing.assert_allclose(w.grad, want, rtol=1e-6, atol=1e-8)
 
 
 def test_silu_gelu_grad():
-    fd_check(lambda x: ad.silu(x).sum(), RNG.normal(size=(7,)))
+    fd_check(lambda x: total(ad.silu(x)), RNG.normal(size=(7,)))
 
 
 def test_rope_rotate_grad_and_norm_preservation():
@@ -157,7 +160,6 @@ def test_layer_ops_on_ndarrays_return_the_tensor_op_values():
     cos, sin = np.cos(RNG.normal(size=(5, 1, 4))), np.sin(RNG.normal(size=(5, 1, 4)))
     mask = np.where(RNG.random(size=(3, 8)) < 0.3, ad.MASK_NEG, 0.0)
     for op, args in [(ad.rms_norm, (w,)), (ad.silu, ()), (ad.rope_rotate, (cos, sin)),
-                     (ad.softmax, ()), (ad.softmax, (mask,)),
                      (ad.matmul, (RNG.normal(size=(8, 6)),))]:
         got = op(x, *args)
         assert type(got) is np.ndarray
@@ -174,7 +176,7 @@ def test_ndarray_on_the_left_dispatches_to_the_tensor():
     for out, sign in [(a + t, 1.0), (a * t, a)]:
         assert isinstance(out, Tensor)
         t.grad = None
-        out.sum().backward()
+        total(out).backward()
         np.testing.assert_array_equal(t.grad, np.broadcast_to(sign, a.shape))
     np.testing.assert_array_equal((a + t).data, a + t.data)
     with pytest.raises(TypeError):
@@ -185,7 +187,7 @@ def test_embedding_grad():
     ids = np.array([[0, 2], [2, 1]])
     w0 = RNG.normal(size=(4, 3))
     w = Tensor(w0.copy(), requires_grad=True)
-    ad.tsum(ad.embedding(w, ids)).backward()
+    total(ad.embedding(w, ids)).backward()
     want = np.zeros_like(w0)
     for r in ids.reshape(-1):
         want[r] += 1.0
@@ -211,7 +213,7 @@ def test_deep_graph_and_reuse():
     # same tensor used twice in the graph: gradients must accumulate
     x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
     y = x * x + x
-    ad.tsum(y).backward()
+    total(y).backward()
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0, rtol=1e-12)
 
 
@@ -229,7 +231,7 @@ def attention_case(rng, d, bsz=2, n_kv=2, g=2, t=9):
 def attention_grads(op, q0, k0, v0, scale, mask, w):
     q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
     out = op(q, k, v, scale, mask)
-    ad.tsum(out * w).backward()
+    total(out * w).backward()
     return out.data, q.grad, k.grad, v.grad
 
 
@@ -256,7 +258,7 @@ def test_attention_grad_finite_differences():
     for name in parts:
         def loss(x, name=name):
             args = {n: (x if n == name else Tensor(a)) for n, a in parts.items()}
-            return ad.tsum(ad.attention(args["q"], args["k"], args["v"], scale, mask) * w)
+            return total(ad.attention(args["q"], args["k"], args["v"], scale, mask) * w)
         fd_check(loss, parts[name])
 
 
@@ -268,7 +270,7 @@ def test_matmul_2d_right_operand_matches_batched_form():
         a = Tensor(a0.copy(), requires_grad=True)
         b = Tensor(b0.reshape(b_shape), requires_grad=True)
         out = a @ b
-        ad.tsum(out * w).backward()
+        total(out * w).backward()
         outs.append((out.data, a.grad, b.grad.reshape(6, 5)))
     for x, y in zip(*outs):
         np.testing.assert_array_equal(x, y)
@@ -296,7 +298,7 @@ def test_backward_returns_leaf_map():
     w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
     h = x * w
     y = h + x
-    loss = ad.tsum(y)
+    loss = total(y)
     assert loss.backward() is None
     assert h.grad is None and y.grad is None and loss.grad is None
     np.testing.assert_array_equal(x.grad, [4.0, 0.0])
@@ -312,7 +314,7 @@ def test_backward_consumes_the_graph():
     with pytest.raises(RuntimeError, match="consumed"):
         loss.backward()
     with pytest.raises(RuntimeError, match="consumed"):
-        ad.tsum(h).backward()  # a new loss over a consumed node
+        total(h).backward()  # a new loss over a consumed node
     np.testing.assert_array_equal(x.grad, [18.0, 36.0])  # no second set of gradients
     np.testing.assert_array_equal(h.data, [3.0, 6.0])  # a held value keeps its data
 
@@ -383,7 +385,7 @@ def test_adam_converges_on_quadratic():
 
 def test_finite_difference_rejects_bad_eps():
     with pytest.raises(ValueError):
-        ad.finite_difference_gradient(lambda x: float(x.sum()), np.ones(2), eps=0.0)
+        helpers.finite_difference_gradient(lambda x: float(x.sum()), np.ones(2), eps=0.0)
 
 
 def test_divergence_error_carries_step():

@@ -19,13 +19,15 @@ def test_fingerprint_is_deterministic_and_complete(capsys):
     lines = dict(line.split(": ", 1) for line in outputs[0].splitlines())
     reports = [f"report_{mode}.json sha256" for mode in
                ["full", "learned", "static_norm", "dynamic_norm", "whf_streaming"]]
-    assert list(lines) == ["tasks sha256", "pretrain losses", "stage1 losses", "stage2 losses",
-                           "params sha256", "alpha sha256", "decode logits sha256"] + reports
+    containers = [f"{name}.pkv sha256" for name in ["model", "beta", "alpha"]]
+    head = ["tasks sha256", "pretrain losses", "stage1 losses", "stage2 losses", "params sha256",
+            "alpha sha256", "decode logits sha256"]
+    assert list(lines) == head + reports + containers
     counts = {"pretrain losses": 16, "stage1 losses": 4, "stage2 losses": 2}
     for name, n in counts.items():
         losses = [float(x) for x in lines[name].split()]
         assert len(losses) == n and np.isfinite(losses).all()
-    for name in ["tasks sha256", "params sha256"] + reports:
+    for name in ["tasks sha256", "params sha256"] + reports + containers:
         assert len(lines[name]) == 64
     decode = lines["decode logits sha256"].split()
     assert decode[::2] == ["ones", "streaming"] and all(len(h) == 64 for h in decode[1::2])

@@ -213,14 +213,14 @@ def test_scaled_answer_rows_match_full_sequence_oracle(n_ctx, n_ans, sink, windo
     np.testing.assert_allclose(got, oracle_h_last(alpha0), rtol=0, atol=1e-10)
 
     h_full = pm._forward(toy, tokens).data[:, n_ctx:]
-    teacher = pm.answer_rows(toy, pm.context_kv(toy, tokens, n_ans), tokens, n_ans)
-    assert type(teacher) is np.ndarray  # the unscaled pass builds no graph
-    np.testing.assert_allclose(teacher, h_full, rtol=0, atol=1e-10)
+    teacher = scaled_rows(toy, tokens, n_ans, np.ones(c.factor_shape), sink, window)
+    assert teacher._node is None  # unit factors that need no gradient build no graph
+    np.testing.assert_allclose(teacher.data, h_full, rtol=0, atol=1e-10)
     for lam in (0.0, 0.06):
         alpha = ad.Tensor(alpha0.copy(), requires_grad=True)
         masking.stage1_loss(h_full, scaled_rows(toy, tokens, n_ans, alpha, sink, window),
                             alpha, lam).backward()
-        fd = ad.finite_difference_gradient(
+        fd = helpers.finite_difference_gradient(
             lambda a: ((oracle_h_last(a) - h_full) ** 2).sum() + lam * np.abs(a).sum(),
             alpha0.copy(), eps=1e-5)
         rel = np.abs(alpha.grad - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -229,16 +229,22 @@ def test_scaled_answer_rows_match_full_sequence_oracle(n_ctx, n_ans, sink, windo
 
 @pytest.mark.parametrize("batch", [1, 2, 3])
 def test_unit_factor_student_equals_teacher_bit_for_bit(batch):
-    """At unit factors the student scores every key as the teacher does, so
-    its rows equal the teacher's exactly, at any batch. With one answer token
-    this needs the ndarray rows' weight products to be one 2-D GEMM, as the
-    Tensor path's are; (B, 1, k) @ (k, n) would run as B one-row products."""
+    """The distillation teacher is the student's pass at unit factors, so a
+    student at unit factors matches it exactly, at any batch: the loss with
+    no L1 term is 0.0."""
     c = ModelConfig()
     toy = ToyTransformer.create(c, seed=0)
-    tokens = np.random.default_rng(batch).integers(0, c.vocab_size, size=(batch, 200))
-    ctx = pm.context_kv(toy, tokens, 1)
-    student = pm.answer_rows(toy, ctx, tokens, 1, np.ones(c.factor_shape), sink=16, window=64)
-    np.testing.assert_array_equal(student.data, pm.answer_rows(toy, ctx, tokens, 1))
+    spec = masking.TrainSpec(sink=16, window=64, seq_len_range=(200, 200))
+
+    def stream(rng, seq_len):
+        return [tasks.TaskSample(ctx_tokens=rng.integers(0, c.vocab_size, seq_len - 1),
+                                 ans_tokens=rng.integers(0, c.vocab_size, 1), query_key=0)
+                for _ in range(batch)]
+
+    alpha = ad.Tensor(np.ones(c.factor_shape), requires_grad=True)
+    loss = masking._distill_loss(toy, stream, np.random.default_rng(batch), spec, alpha, 0.0,
+                                 alpha)
+    assert float(loss.data) == 0.0
 
 
 def test_gqa_matches_replicated_mha():
@@ -284,15 +290,13 @@ def test_forward_input_validation():
         scaled_rows(toy, np.zeros((1, 8), dtype=int), 1, ones, sink=4, window=4)
     with pytest.raises(ad.ShapeError):
         scaled_rows(toy, np.zeros((1, 5), dtype=int), 1, np.ones((1, 1, 2)), sink=1, window=2)
-    with pytest.raises(ValueError, match="sink and a window"):
-        scaled_rows(toy, np.zeros((1, 5), dtype=int), 1, ones, sink=None, window=None)
     with pytest.raises(ValueError, match="no context"):
         scaled_rows(toy, np.zeros((1, 3), dtype=int), 3, ones, sink=0, window=0)
     # 18 tokens past a max_pos of 16: the 16-token context passes its own check
     short = ToyTransformer.create(replace(TINY, max_pos=16), seed=0)
     tokens = np.zeros((1, 18), dtype=int)
     with pytest.raises(ValueError, match="sequence length 18 exceeds max_pos 16"):
-        pm.answer_rows(short, pm.context_kv(short, tokens, 2), tokens, 2)
+        scaled_rows(short, tokens, 2, ones, sink=0, window=0)
 
 
 def test_layers_on_ndarrays_match_tensors():

@@ -137,7 +137,7 @@ def saved_files(root):
     storage.save_alpha(root / "alpha.pkv", np.linspace(-1, 1, bits.size).reshape(bits.shape), CFG)
     storage.save_beta(root / "beta.pkv", BinaryChannelMask(bits=bits, r=4, keep_ratio=0.5), CFG)
     storage.save_checkpoint(root / "checkpoint.pkv", ToyTransformer.create(CFG, seed=2))
-    loaders = {"alpha": lambda p: storage.load_alpha(p, CFG),
+    loaders = {"alpha": lambda p: storage.load_container(p, storage.ALPHA_KIND),
                "beta": lambda p: storage.load_beta(p, CFG),
                "checkpoint": storage.load_checkpoint}
     return {kind: ((root / f"{kind}.pkv").read_bytes(), load) for kind, load in loaders.items()}
@@ -243,20 +243,17 @@ def test_corrupt_header_cases(saved, edit, message):
     path = root / "case.pkv"
     path.write_bytes(edited(files["alpha"][0], edit))
     with pytest.raises(storage.StorageError, match=message):
-        storage.load_alpha(path, CFG)
+        storage.load_container(path, storage.ALPHA_KIND)
 
 
-def test_alpha_round_trip_and_dims_check(tmp_path):
+def test_alpha_round_trip(tmp_path):
+    # alpha.pkv is an output with no loader in the package
     path = tmp_path / "alpha.pkv"
     alpha = np.random.default_rng(1).normal(size=CFG.factor_shape)
     storage.save_alpha(path, alpha, CFG, extra={"tag": 7})
-    got, meta = storage.load_alpha(path, CFG)
-    np.testing.assert_array_equal(got, alpha)
-    assert meta["tag"] == 7
-    other = ModelConfig(n_layers=2, n_q_heads=2, n_kv_heads=2, head_dim=8,
-                        d_ff=16, vocab_size=32)
-    with pytest.raises(storage.StorageError, match="dims"):
-        storage.load_alpha(path, other)
+    meta, arrays = storage.load_container(path, storage.ALPHA_KIND)
+    np.testing.assert_array_equal(arrays["alpha"], alpha)
+    assert meta == {"n_layers": 1, "n_kv_heads": 2, "head_dim": 8, "tag": 7}
 
 
 def test_beta_round_trip_and_alignment_enforced(tmp_path):
@@ -534,6 +531,11 @@ def test_cli_refused_commands_leave_no_output_directory(tmp_path, capsys, comman
         assert not out.exists()
     if command == ["analyze", "staticity"]:  # refused for its samples' length
         assert cli.main(argv + ["--config", decode[3]]) == cli.EXIT_ERROR
+        assert not out.exists()
+    if command == ["learn-mask"]:  # refused for the default seq_len_range past max_pos 64
+        assert cli.main(argv + ["--config", decode[3]]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: train seq_len_range (256, 2048) reaches past max_pos 64\n")
         assert not out.exists()
 
 

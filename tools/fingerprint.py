@@ -6,9 +6,11 @@ stage-1 and 2 stage-2 mask-learning steps, and prints every loss as its
 `repr` plus the sha256 of the trained parameters and of both stages' alpha.
 Then, on the trained model, it prints the sha256 of the logits of a greedy
 decode through the partitioned cache, with the all-ones mask and with the
-stage-2 mask with head (0, 0) streaming, and of each `cmd_eval` report file
-of a 4-sample eval in every mode. Two trees that print the same bytes train
-the same weights and factors and decode and report the same, bit for bit.
+stage-2 mask with head (0, 0) streaming, of each `cmd_eval` report file of
+a 4-sample eval in every mode, and of the model, mask and alpha container
+files as `cmd_learn_mask` and `save_checkpoint` write them. Two trees that
+print the same bytes train the same weights and factors and decode, report
+and store the same, bit for bit.
 Its first line is one sha256 over the samples of every task generator on a
 grid of kinds, vocabularies, lengths up to 2048 and seeds, so two trees that
 print the same line generate the same tasks. Run from the repository root,
@@ -96,10 +98,14 @@ def main(argv=None):
         ckpt, mask_path = os.path.join(out, "model.pkv"), os.path.join(out, "beta.pkv")
         storage.save_checkpoint(ckpt, toy)
         storage.save_beta(mask_path, beta, toy.config)
+        storage.save_alpha(os.path.join(out, "alpha.pkv"), alpha2, toy.config,
+                           extra={"config_hash": cfg.hash()})  # as cmd_learn_mask writes it
         for mode in experiment.EVAL_MODES:
             experiment.cmd_eval(eval_cfg, ckpt, mode, mask_path=mask_path, out_dir=out)
-            with open(os.path.join(out, f"report_{mode}.json"), "rb") as f:
-                print(f"report_{mode}.json sha256: {hashlib.sha256(f.read()).hexdigest()}")
+        reports = [f"report_{mode}.json" for mode in experiment.EVAL_MODES]
+        for name in reports + ["model.pkv", "beta.pkv", "alpha.pkv"]:
+            with open(os.path.join(out, name), "rb") as f:
+                print(f"{name} sha256: {hashlib.sha256(f.read()).hexdigest()}")
 
 
 if __name__ == "__main__":
