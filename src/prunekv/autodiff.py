@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery to backpropagate a distillation loss through a small
-transformer: broadcasting elementwise ops, batched matmul, fused attention /
-normalization primitives, and an Adam optimizer. All arithmetic is 64-bit.
+transformer: broadcasting elementwise ops, batched matmul, one attention
+node, normalization primitives, and an Adam optimizer. All arithmetic is 64-bit.
 A backward closure computes an operand's gradient only if that operand
 requires one, and keeps only the arrays it reads.
 """
@@ -358,9 +358,9 @@ def sum_squares(a):
 
 
 # Plain-ndarray kernels. The Tensor ops below take their forward values from
-# them; `rms_norm`, `silu` and `rope_rotate` (and `concat` above) return the
-# plain result when given ndarrays, so one layer body serves Tensors and
-# plain numpy.
+# them; `attention`, `rms_norm`, `silu` and `rope_rotate` (and `concat` above)
+# return the plain result when given ndarrays, so one layer body serves
+# Tensors and plain numpy.
 
 def softmax_(z):
     """Softmax over the last axis, normalised in place in `z`, which is returned."""
@@ -400,62 +400,35 @@ def rotate_half(x, cos, sin):
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def softmax(a, additive_mask=None):
-    """Softmax over the last axis; `additive_mask` is added to the logits first.
+def attention(scores, v, additive_mask):
+    """softmax(scores + additive_mask) @ v as one node, over the last axis.
 
-    Masked-out positions should carry a large negative value in the mask
-    (selection semantics), never a multiplicative zero.
+    scores is (..., g, Tq, Tk); v is (..., 1, Tk, d), shared by the g query
+    heads of its group. Masked-out keys carry a large negative value in
+    `additive_mask` (selection semantics). The probabilities are the only
+    score-sized array the node keeps; the score gradient is formed in place
+    in the product of the output gradient with v, and v's gradient is summed
+    over g. With ndarray scores and v the result is a plain ndarray.
     """
-    a = _lift(a)
-    p = softmax_(a.data.copy() if additive_mask is None else a.data + additive_mask)
-    na = _grad_node(a)
-
-    def bwd(g):
-        _accum(na, p * (g - (g * p).sum(axis=-1, keepdims=True)))
-
-    return _node(p, (na,), bwd)
-
-
-def attention(q, k, v, scale, additive_mask):
-    """softmax(q @ kᵀ * scale + additive_mask) @ v as one node.
-
-    q is (..., g, Tq, d); k and v are (..., 1, Tk, d), each shared by the g
-    query heads of its group. The scores come from a scaled copy of q and are
-    softmaxed in place: the probabilities, (..., g, Tq, Tk), are the only
-    score-sized array the node keeps. The product with v and the q gradient
-    run the g heads as rows of one matmul; the k and v gradients are computed
-    per head and then summed over g.
-    """
-    q, k, v = _lift(q), _lift(k), _lift(v)
-    *lead, g, tq, d = q.shape
-    if k.shape[:-2] != (*lead, 1) or k.shape[-1] != d or v.shape != k.shape:
-        raise ShapeError(f"attention got q {q.shape}, k {k.shape}, v {v.shape}")
-    tk = k.shape[-2]
-    rows = (*lead, g * tq)
-    k2, v2 = k.data[..., 0, :, :], v.data[..., 0, :, :]
-    p = ((q.data * scale).reshape(*rows, d) @ np.swapaxes(k2, -1, -2)).reshape(*lead, g, tq, tk)
-    p += additive_mask
-    softmax_(p)
-    nq, nk, nv, q_shape = _grad_node(q), _grad_node(k), _grad_node(v), q.shape
-    # q's gradient reads k, k's reads q, and both read the score gradient, which reads v
-    saved_q, saved_k, saved_v = q.data if nk else None, k2 if nq else None, v2 if nq or nk else None
+    if scores.shape[:-3] != v.shape[:-3] or v.shape[-3] != 1 or v.shape[-2] != scores.shape[-1]:
+        raise ShapeError(f"attention got scores {scores.shape}, v {v.shape}")
+    if isinstance(scores, np.ndarray) and isinstance(v, np.ndarray):
+        return softmax_(scores + additive_mask) @ v
+    scores, v = _lift(scores), _lift(v)
+    p = softmax_(scores.data + additive_mask)
+    ns, nv = _grad_node(scores), _grad_node(v)
+    v_data = v.data if ns else None
 
     def bwd(grad):
         if nv:
             _accum(nv, (np.swapaxes(p, -1, -2) @ grad).sum(axis=-3, keepdims=True))
-        if not (nq or nk):
-            return
-        ds = (grad.reshape(*rows, d) @ np.swapaxes(saved_v, -1, -2)).reshape(p.shape)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        if nq:
-            _accum(nq, (ds.reshape(*rows, tk) @ saved_k).reshape(q_shape))
-        if nk:
-            dkt = (np.swapaxes(saved_q, -1, -2) @ ds).sum(axis=-3, keepdims=True)
-            _accum(nk, np.swapaxes(dkt, -1, -2))
+        if ns:
+            ds = grad @ np.swapaxes(v_data, -1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            _accum(ns, ds)
 
-    return _node((p.reshape(*rows, tk) @ v2).reshape(q.shape), (nq, nk, nv), bwd)
+    return _node(p @ v.data, (ns, nv), bwd)
 
 
 def rms_norm(x, weight):

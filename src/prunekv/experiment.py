@@ -303,6 +303,10 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
 
 def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None):
     """Evaluate one cache policy and write a RunReport."""
+    if mode not in EVAL_MODES:  # both checks come before the --out directory is made
+        raise ValueError(f"unknown eval mode {mode!r}")
+    if mode == MODE_LEARNED and not mask_path:
+        raise ValueError("learned mode needs a mask")
     out = out_dir or cfg.resolve_out()
     toy = storage.load_checkpoint(checkpoint)
     check_model(cfg, toy)  # samples, calibration and report all come from the config

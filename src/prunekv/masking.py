@@ -140,14 +140,14 @@ def _distill_loss(model, task_stream, rng, spec, factors, lam, alpha):
     """Distillation loss of one batch's answer rows under `factors`, with L1
     weight `lam` on `alpha`. Teacher and student share one context pass: the
     context rows are the same for both. The teacher is the same pass at unit
-    factors, which needs no gradient and so builds no graph."""
+    factors, an ndarray, so it runs in plain numpy and builds no graph."""
     lo, hi = spec.seq_len_range
     batch = task_stream(rng, int(rng.integers(lo, hi + 1)))
     tokens = np.stack([s.tokens for s in batch])
     n_ans = len(batch[0].ans_tokens)
     ctx = context_kv(model, tokens, n_ans)
     teacher = answer_rows(model, ctx, tokens, n_ans, np.ones(model.config.factor_shape),
-                          spec.sink, spec.window).data
+                          spec.sink, spec.window)
     student = answer_rows(model, ctx, tokens, n_ans, factors, spec.sink, spec.window)
     return stage1_loss(teacher, student, alpha, lam)
 

@@ -5,11 +5,11 @@ learning channel importance, and a pretraining mode so the model actually
 performs retrieval before pruning. Region scaling changes only the answer
 rows (they see the sink + local window full-width and a per-channel-scaled
 middle, split by `cache.middle_end`), so the scaled pass runs just those
-rows, through Tensor ops, against the keys and values of one plain-numpy
-context pass; at unit factors it is the unscaled pass, bit for bit, so the
-distillation teacher is the same pass. One layer body, `layers`, runs every
-pass: pretraining and mask learning on Tensors, prefill and decode (`cache`)
-on ndarrays.
+rows against the keys and values of one plain-numpy context pass, through
+Tensor ops only for Tensor factors; at unit factors it is the unscaled pass,
+bit for bit, so the plain-numpy distillation teacher is the same pass. One
+layer body, `layers`, runs every pass: pretraining and mask learning on
+Tensors, prefill and decode (`cache`) on ndarrays.
 """
 from __future__ import annotations
 
@@ -174,7 +174,8 @@ def _forward(model, tokens):
         raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
     additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, MASK_NEG)
     scale = 1.0 / np.sqrt(c.head_dim)
-    attend = _grouped(c, lambda i, q, k, v: ad.attention(q, k, v, scale, additive))
+    attend = _grouped(c, lambda i, q, k, v: ad.attention(
+        (q * scale) @ k.transpose(0, 1, 2, 4, 3), v, additive))
     return layers(p, c, ad.embedding(p["tok_emb"], tokens), 0, attend)
 
 
@@ -205,10 +206,10 @@ def answer_rows(model, ctx, tokens, n_ans, factors, sink, window):
     head's factors, all other keys at full width. The factors scale q, as
     (a * q) . k = q . (a * k), so the graph holds no (T, T) array: its scores
     and region masks are (B, n_kv, g, n_ans, T) and (n_ans, T). The weights
-    are constants here; only `factors` can carry a gradient, and the rows
-    become Tensors at the first factor product. At unit factors every key
-    scores exactly as under plain causal attention, which makes this the
-    distillation teacher too.
+    are constants here; only `factors` can carry a gradient. With ndarray
+    factors the pass is plain numpy and returns an ndarray. At unit factors
+    every key scores exactly as under plain causal attention, which makes
+    this the distillation teacher too.
     """
     c = model.config
     t = tokens.shape[1]
@@ -217,8 +218,6 @@ def answer_rows(model, ctx, tokens, n_ans, factors, sink, window):
     n_ctx, d = t - n_ans, c.head_dim
     if sink + window > n_ctx:
         raise ValueError(f"sink+window = {sink + window} exceeds context length {n_ctx}")
-    if not isinstance(factors, Tensor):
-        factors = Tensor(factors)
     if factors.shape != c.factor_shape:
         raise ad.ShapeError(f"factors shape {factors.shape} != {c.factor_shape}")
     pos, seen = np.arange(t), np.arange(n_ctx + 1, t + 1)  # answer row n - 1 sees n keys
@@ -234,7 +233,7 @@ def answer_rows(model, ctx, tokens, n_ans, factors, sink, window):
         keys = ad.concat([k_ctx, k], axis=-2).transpose(0, 1, 2, 4, 3)
         s = (q @ keys) * f_sl
         s = s + ((q * factors[i].reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
-        return ad.softmax(s, additive_mask=additive) @ ad.concat([v_ctx, v], axis=-2)
+        return ad.attention(s, ad.concat([v_ctx, v], axis=-2), additive)
 
     return layers(w, c, w["tok_emb"][tokens[:, n_ctx:]], n_ctx, _grouped(c, attend))
 

@@ -174,9 +174,10 @@ def load_beta(path, config=None):
     if "bits" not in arrays:
         raise StorageError(f"{path}: array 'bits' is missing")
     bits = arrays["bits"]
-    if bits.dtype != np.uint8 or (config is not None and bits.shape != config.factor_shape):
+    dims = tuple(meta.get(k) for k in ("n_layers", "n_kv_heads", "head_dim"))
+    if bits.dtype != np.uint8 or bits.shape != dims or any(type(n) is not int for n in dims):
         raise StorageError(f"{path}: array 'bits' is {bits.dtype} {bits.shape}, expected uint8 "
-                           f"{'' if config is None else config.factor_shape}")
+                           f"of the header's (n_layers, n_kv_heads, head_dim) {dims}")
     try:  # BinaryChannelMask validates the per-head alignment invariant
         beta = BinaryChannelMask(bits=bits, r=int(meta["r"]), keep_ratio=float(meta["keep_ratio"]))
     except (KeyError, TypeError, ValueError) as e:

@@ -98,7 +98,7 @@ def test_criterion_01_unit_factor_identity(announce):
         full = pm._forward(toy, tokens).data[:, n_ctx:]
         scaled = pm.answer_rows(toy, pm.context_kv(toy, tokens, n_ans), tokens, n_ans, factors,
                                 sink=2, window=4)
-        worst = max(worst, float(np.abs(scaled.data - full).max()))
+        worst = max(worst, float(np.abs(scaled - full).max()))
     ok = worst < 1e-10
     announce(1, ok, f"unit-factor scaled attention equals full attention, "
                     f"max|dH|={worst:.2e} over 20 random model/input pairs")

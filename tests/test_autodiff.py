@@ -103,26 +103,33 @@ def test_sum_squares_closed_form_grad():
     np.testing.assert_allclose(hs.grad, 2.0 * (hs.data - hf), rtol=1e-12)
 
 
+def softmax(x, mask=0.0):
+    """softmax(x + mask) over the last axis of x (g, Tq, Tk): the attention
+    node with v the identity, whose output is its probabilities."""
+    return ad.attention(x, np.eye(x.shape[-1])[None], mask)
+
+
 def test_softmax_rows_sum_to_one_and_grad():
-    x0 = RNG.normal(size=(4, 6))
-    p = ad.softmax(Tensor(x0)).data
+    x0 = RNG.normal(size=(4, 6))[None]
+    p = softmax(x0)
+    assert type(p) is np.ndarray
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
+    np.testing.assert_array_equal(softmax(Tensor(x0)).data, p)
     w = RNG.normal(size=(4, 6))
-    fd_check(lambda x: total(ad.softmax(x) * w), x0)
+    fd_check(lambda x: total(softmax(x) * w), x0)
 
 
 def test_softmax_additive_mask_selects():
     mask = np.array([[0.0, 0.0, -1e30]])
-    p = ad.softmax(Tensor(np.zeros((1, 3))), additive_mask=mask).data
-    np.testing.assert_allclose(p, [[0.5, 0.5, 0.0]], atol=1e-15)
-    fd_check(lambda x: ad.sum_squares(ad.softmax(x, additive_mask=mask)),
-             RNG.normal(size=(1, 3)))
+    p = softmax(Tensor(np.zeros((1, 1, 3))), mask).data
+    np.testing.assert_allclose(p, [[[0.5, 0.5, 0.0]]], atol=1e-15)
+    fd_check(lambda x: ad.sum_squares(softmax(x, mask)), RNG.normal(size=(1, 3))[None])
 
 
 def test_softmax_shift_invariance():
-    x = RNG.normal(size=(2, 5))
-    np.testing.assert_allclose(ad.softmax(Tensor(x)).data,
-                               ad.softmax(Tensor(x + 100.0)).data, rtol=1e-12)
+    x = RNG.normal(size=(2, 5))[None]
+    np.testing.assert_allclose(softmax(Tensor(x)).data, softmax(Tensor(x + 100.0)).data,
+                               rtol=1e-12)
 
 
 def test_rms_norm_grad():
@@ -217,10 +224,6 @@ def test_deep_graph_and_reuse():
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0, rtol=1e-12)
 
 
-def unfused_attention(q, k, v, scale, mask):
-    return ad.softmax((q @ k.transpose(0, 1, 2, 4, 3)) * scale, additive_mask=mask) @ v
-
-
 def attention_case(rng, d, bsz=2, n_kv=2, g=2, t=9):
     q = rng.normal(size=(bsz, n_kv, g, t, d))
     k, v = rng.normal(size=(2, bsz, n_kv, 1, t, d))
@@ -228,11 +231,26 @@ def attention_case(rng, d, bsz=2, n_kv=2, g=2, t=9):
     return q, k, v, mask, rng.normal(size=q.shape)
 
 
-def attention_grads(op, q0, k0, v0, scale, mask, w):
+def attention_grads(q0, k0, v0, scale, mask, w):
+    """Output and q, k, v gradients of total(attention * w), with the scores
+    built from a scaled q and k as `model._forward` builds them."""
     q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
-    out = op(q, k, v, scale, mask)
+    out = ad.attention((q * scale) @ k.transpose(0, 1, 2, 4, 3), v, mask)
     total(out * w).backward()
     return out.data, q.grad, k.grad, v.grad
+
+
+def unfused_attention_grads(q, k, v, scale, mask, w):
+    """The same, by hand in numpy, with the scale applied to the scores."""
+    s = (q @ np.swapaxes(k, -1, -2)) * scale + mask
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = w @ np.swapaxes(v, -1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dq = (ds @ k) * scale
+    dk = np.swapaxes((np.swapaxes(q, -1, -2) @ ds).sum(axis=-3, keepdims=True), -1, -2) * scale
+    dv = (np.swapaxes(p, -1, -2) @ w).sum(axis=-3, keepdims=True)
+    return p @ v, dq, dk, dv
 
 
 @pytest.mark.parametrize("d, tol", [(16, 0.0), (8, 1e-12)])
@@ -241,8 +259,8 @@ def test_attention_matches_unfused_composition(d, tol):
     # product rounds exactly as scaling the scores after it
     q, k, v, mask, w = attention_case(np.random.default_rng(d), d)
     scale = 1.0 / np.sqrt(d)
-    got = attention_grads(ad.attention, q, k, v, scale, mask, w)
-    want = attention_grads(unfused_attention, q, k, v, scale, mask, w)
+    got = attention_grads(q, k, v, scale, mask, w)
+    want = unfused_attention_grads(q, k, v, scale, mask, w)
     for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
         assert a.shape == b.shape, name
         if tol == 0.0:
@@ -253,12 +271,11 @@ def test_attention_matches_unfused_composition(d, tol):
 
 def test_attention_grad_finite_differences():
     q0, k0, v0, mask, w = attention_case(np.random.default_rng(3), d=4, t=5)
-    scale = 0.5
-    parts = {"q": q0, "k": k0, "v": v0}
+    parts = {"scores": (q0 @ np.swapaxes(k0, -1, -2)) * 0.5, "v": v0}
     for name in parts:
         def loss(x, name=name):
             args = {n: (x if n == name else Tensor(a)) for n, a in parts.items()}
-            return total(ad.attention(args["q"], args["k"], args["v"], scale, mask) * w)
+            return total(ad.attention(args["scores"], args["v"], mask) * w)
         fd_check(loss, parts[name])
 
 
@@ -286,7 +303,7 @@ def test_constant_operands_get_no_grad():
     w2, w3, norm_w, scale, other, k, v = consts
     y = ad.rms_norm(x @ w2, norm_w) @ w3
     y = ad.concat([y * scale + other, other - y, (other * other + 1.0) * y], axis=2)
-    y = ad.attention(y, k, v, 0.5, 0.0)
+    y = ad.attention(y @ (k * 0.5).transpose(0, 1, 3, 2), v, 0.0)
     ad.sum_squares(y).backward()
     assert x.grad is not None
     assert all(c.grad is None for c in consts)
@@ -330,9 +347,11 @@ def test_shape_errors():
         Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4, 5)))
     with pytest.raises(ad.ShapeError):
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 5)))
-    with pytest.raises(ad.ShapeError):  # k must have a single head per group
-        ad.attention(np.zeros((2, 2, 3, 4)), np.zeros((2, 2, 3, 4)), np.zeros((2, 2, 3, 4)),
-                     0.5, 0.0)
+    for scores in (np.zeros((2, 2, 3, 3)), Tensor(np.zeros((2, 2, 3, 3)))):
+        with pytest.raises(ad.ShapeError):  # v must have a single head per group
+            ad.attention(scores, np.zeros((2, 2, 3, 4)), 0.0)
+    with pytest.raises(ad.ShapeError):  # v must have a row per key
+        ad.attention(np.zeros((2, 1, 3, 5)), np.zeros((2, 1, 3, 4)), 0.0)
 
 
 def test_adam_first_step_hand_computed():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prunekv import cli, storage
+from prunekv import cli, experiment, storage
 from prunekv.experiment import ExperimentConfig
 from prunekv.masking import BinaryChannelMask, TrainSpec
 from prunekv.model import ModelConfig, ToyTransformer
@@ -441,6 +441,23 @@ def test_cli_memory_report(tmp_path, capsys):
         assert captured.err.startswith("error: need seq_len >= 1") and captured.out == ""
 
 
+@pytest.mark.parametrize("dims", [{}, {"n_kv_heads": 2, "head_dim": 8},
+                                  {"n_layers": 1, "head_dim": 8}, {"n_layers": 1, "n_kv_heads": 2},
+                                  {"n_layers": 1, "n_kv_heads": 2, "head_dim": 4},
+                                  {"n_layers": 1.0, "n_kv_heads": 2, "head_dim": 8}])
+def test_cli_memory_report_rejects_a_mask_without_its_dims(tmp_path, capsys, dims):
+    """A mask whose header lacks a dimension, or gives other ones than its
+    bits have or a non-int one, is a corrupt file: one error line naming it,
+    no traceback."""
+    path = tmp_path / "m.pkv"
+    storage.save_container(path, storage.BETA_KIND, {**dims, "r": 1, "keep_ratio": 1.0},
+                           {"bits": np.ones(CFG.factor_shape, dtype=np.uint8)})
+    assert cli.main(["memory-report", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_cli_errors_return_nonzero(tmp_path, capsys):
     assert cli.main(["memory-report", str(tmp_path / "missing.pkv")]) == cli.EXIT_ERROR
     assert "error" in capsys.readouterr().err
@@ -520,7 +537,8 @@ def test_cli_commands_that_draw_samples_need_the_checkpoint_model(tmp_path, caps
     ["eval", "--mode", "full"], ["analyze", "staticity"], ["analyze", "whf"], ["learn-mask"]])
 def test_cli_refused_commands_leave_no_output_directory(tmp_path, capsys, command):
     """A command refused for its checkpoint, missing or of another model than
-    the config's, exits 1 before it makes its --out directory."""
+    the config's, or for its arguments, exits 1 before it makes its --out
+    directory."""
     decode = decode_setup(tmp_path)  # a CFG checkpoint; the default config's model differs
     for ckpt, message in [(str(tmp_path / "missing.pkv"), "error: "),
                           (decode[1], "error: the checkpoint's model differs from the config's")]:
@@ -536,6 +554,15 @@ def test_cli_refused_commands_leave_no_output_directory(tmp_path, capsys, comman
         assert cli.main(argv + ["--config", decode[3]]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == (
             "error: train seq_len_range (256, 2048) reaches past max_pos 64\n")
+        assert not out.exists()
+    if command[0] == "eval":  # refused for a learned eval without a mask, or an unknown mode
+        argv = ["eval", decode[1], "--out", str(out), "--config", decode[3], "--mode", "learned"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error: learned mode needs a mask\n"
+        assert not out.exists()
+        cfg = ExperimentConfig.from_dict(storage.load_json(decode[3]))
+        with pytest.raises(ValueError, match="unknown eval mode 'bogus'"):
+            experiment.cmd_eval(cfg, decode[1], "bogus", out_dir=str(out))
         assert not out.exists()
 
 
