@@ -2,9 +2,9 @@
 
 Just enough machinery to backpropagate a distillation loss through a small
 transformer: broadcasting elementwise ops, batched matmul, one attention
-node, normalization primitives, and an Adam optimizer. All arithmetic is 64-bit.
-A backward closure computes an operand's gradient only if that operand
-requires one, and keeps only the arrays it reads.
+node, one SwiGLU FFN node, normalization primitives, and an Adam optimizer.
+All arithmetic is 64-bit. A backward closure computes an operand's gradient
+only if that operand requires one, and keeps only the arrays it reads.
 """
 from __future__ import annotations
 
@@ -254,21 +254,27 @@ def matmul(a, b):
 
 
 def _matmul_2d(a, b):
-    """(..., k) @ (k, n): the forward and a's gradient are one 2-D GEMM over
-    all leading rows; b's gradient is batched and then summed, as in the
-    general case, which keeps its float sums in the same order."""
-    k, n = b.shape
-    lead = a.shape[:-1]
-    na, nb, a_shape, b_shape = _grad_node(a), _grad_node(b), a.shape, b.shape
+    """(..., k) @ (k, n) through `matmul`'s 2-D GEMMs; b's gradient is `_weight_grad`'s."""
+    na, nb = _grad_node(a), _grad_node(b)
     a_data, b_data = a.data if nb else None, b.data if na else None
 
     def bwd(g):
         if na:
-            _accum(na, (g.reshape(-1, n) @ b_data.T).reshape(a_shape))
+            _accum(na, matmul(g, b_data.T))
         if nb:
-            _accum(nb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
+            _accum(nb, _weight_grad(a_data, g))
 
-    return _node((a.data.reshape(-1, k) @ b.data).reshape(*lead, n), (na, nb), bwd)
+    return _node(matmul(a.data, b.data), (na, nb), bwd)
+
+
+def _weight_grad(a, g):
+    """The (k, n) gradient of w in `a @ w`: a[r].T @ g[r] summed over leading blocks r
+    of a (..., m, k) and g (..., m, n), in the order that summing their batched product does."""
+    a, g = a.reshape(-1, *a.shape[-2:]), g.reshape(-1, *g.shape[-2:])
+    out = a[0].T @ g[0]
+    for a_r, g_r in zip(a[1:], g[1:]):
+        out += a_r.T @ g_r
+    return out
 
 
 def transpose(a, axes):
@@ -358,7 +364,7 @@ def sum_squares(a):
 
 
 # Plain-ndarray kernels. The Tensor ops below take their forward values from
-# them; `attention`, `rms_norm`, `silu` and `rope_rotate` (and `concat` above)
+# them; `attention`, `rms_norm`, `ffn` and `rope_rotate` (and `concat` above)
 # return the plain result when given ndarrays, so one layer body serves
 # Tensors and plain numpy.
 
@@ -424,7 +430,8 @@ def attention(scores, v, additive_mask):
             _accum(nv, (np.swapaxes(p, -1, -2) @ grad).sum(axis=-3, keepdims=True))
         if ns:
             ds = grad @ np.swapaxes(v_data, -1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            for ds_r, p_r in zip(ds, p):  # one leading block's (ds * p) at a time
+                ds_r -= (ds_r * p_r).sum(axis=-1, keepdims=True)
             ds *= p
             _accum(ns, ds)
 
@@ -452,17 +459,34 @@ def rms_norm(x, weight):
     return _node(out_data, (nx, nw), bwd)
 
 
-def silu(x):
-    if isinstance(x, np.ndarray):
-        return silu_fwd(x)[0]
-    x = _lift(x)
-    out_data, s = silu_fwd(x.data)
-    nx, x_data = _grad_node(x), x.data
+def ffn(h, w_gate, w_up, w_down):
+    """The SwiGLU FFN (silu(h @ w_gate) * (h @ w_up)) @ w_down as one node of
+    `matmul`'s 2-D GEMMs. It keeps h, gate and up: backward recomputes the rest
+    and frees each temporary once used. With ndarray operands it is an ndarray."""
+    if all(isinstance(t, np.ndarray) for t in (h, w_gate, w_up, w_down)):
+        return matmul(silu_fwd(matmul(h, w_gate))[0] * matmul(h, w_up), w_down)
+    ts = [_lift(t) for t in (h, w_gate, w_up, w_down)]
+    (x, wg, wu, wd), (nh, ng, nu, nd) = [t.data for t in ts], [_grad_node(t) for t in ts]
+    gate, up = matmul(x, wg), matmul(x, wu)
 
     def bwd(g):
-        _accum(nx, g * s * (1.0 + x_data * (1.0 - s)))
+        d_up, s = silu_fwd(gate)  # silu(gate) until it is scaled below
+        if nd:
+            _accum(nd, _weight_grad(d_up * up, g))
+        d_gate = matmul(g, wd.T)  # the down projection input's gradient, then gate's
+        d_up *= d_gate
+        d_gate *= up
+        d_gate *= s
+        d_gate *= 1.0 + gate * (1.0 - s)  # ((dprod * up) * s) * (...), in this rounding order
+        del s
+        if ng:
+            _accum(ng, _weight_grad(x, d_gate))
+        if nu:
+            _accum(nu, _weight_grad(x, d_up))
+        if nh:
+            _accum(nh, matmul(d_gate, wg.T) + matmul(d_up, wu.T))
 
-    return _node(out_data, (nx,), bwd)
+    return _node(matmul(silu_fwd(gate)[0] * up, wd), (nh, ng, nu, nd), bwd)
 
 
 def rope_rotate(x, cos, sin):

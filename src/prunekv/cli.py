@@ -22,9 +22,15 @@ EXIT_BAD_ARGS = 2
 
 
 def _load_config(args):
-    if args.config:
-        return experiment.ExperimentConfig.from_dict(storage.load_json(args.config))
-    return experiment.ExperimentConfig()
+    if not args.config:
+        return experiment.ExperimentConfig()
+    try:
+        d = storage.load_json(args.config)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"config {args.config} is not JSON: {e}") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"config {args.config} must be a JSON object, got {d!r}")
+    return experiment.ExperimentConfig.from_dict(d)
 
 
 def _add_common(p):
@@ -61,11 +67,8 @@ def _staticity_samples(cfg):
     by_kind = {k: experiment.eval_samples(cfg, n=cfg.calib_samples, seed=cfg.eval_seed + 1000 * i,
                                           kind=k) for i, k in enumerate(tasks.KINDS)}
     for kind, samples in by_kind.items():
-        n = min(len(s.tokens) for s in samples)
-        if n < analysis.DEFAULT_OBS_WINDOW:
-            raise ValueError(f"{kind} samples are {n} tokens at eval_seq_len {cfg.eval_seq_len} "
-                             f"and vocab_size {cfg.model_config().vocab_size}, shorter than "
-                             f"staticity's {analysis.DEFAULT_OBS_WINDOW}-row query window")
+        experiment.check_window(cfg, f"{kind} samples", [len(s.tokens) for s in samples],
+                                analysis.DEFAULT_OBS_WINDOW, "staticity")
     return by_kind
 
 

@@ -301,6 +301,15 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
     return float(np.mean(scores)), beta if report_beta is None else report_beta
 
 
+def check_window(cfg, what, lengths, window, owner):
+    """ValueError naming eval_seq_len if the shortest of `what`, of token
+    `lengths`, is shorter than `owner`'s `window`-row query window."""
+    if min(lengths) < window:
+        raise ValueError(f"{what} are {min(lengths)} tokens at eval_seq_len {cfg.eval_seq_len} "
+                         f"and vocab_size {cfg.model_config().vocab_size}, shorter than "
+                         f"{owner}'s {window}-row query window")
+
+
 def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None):
     """Evaluate one cache policy and write a RunReport."""
     if mode not in EVAL_MODES:  # both checks come before the --out directory is made
@@ -311,8 +320,13 @@ def cmd_eval(cfg, checkpoint, mode, mask_path=None, out_dir=None):
     toy = storage.load_checkpoint(checkpoint)
     check_model(cfg, toy)  # samples, calibration and report all come from the config
     beta = storage.load_beta(mask_path, toy.config)[0] if mask_path else None
-    os.makedirs(out, exist_ok=True)
     samples = eval_samples(cfg)
+    if mode == MODE_STATIC_NORM:  # a norm baseline's query window must fit its rows
+        check_window(cfg, "calibration samples", [len(s.tokens) for s in calib_samples(cfg)],
+                     analysis.DEFAULT_OBS_WINDOW, mode)
+    elif mode == MODE_DYNAMIC_NORM:
+        check_window(cfg, "contexts", [len(s.ctx_tokens) for s in samples], cfg.q_window, mode)
+    os.makedirs(out, exist_ok=True)
     accuracy, eff_beta = evaluate_mode(cfg, toy, mode, samples, beta)
     spec = cfg.train_spec()
     report = {"mode": mode, "accuracy": accuracy, "n_samples": len(samples),

@@ -145,8 +145,7 @@ def layers(w, config, x, start, attend):
             x = x[..., x.shape[-2] - a.shape[-2]:, :]
         x = x + ad.matmul(a, w[f"l{i}.wo"])
         h = ad.rms_norm(x, w[f"l{i}.ffn_norm"])
-        x = x + ad.matmul(ad.silu(ad.matmul(h, w[f"l{i}.w_gate"])) * ad.matmul(h, w[f"l{i}.w_up"]),
-                          w[f"l{i}.w_down"])
+        x = x + ad.ffn(h, w[f"l{i}.w_gate"], w[f"l{i}.w_up"], w[f"l{i}.w_down"])
     return ad.rms_norm(x, w["final_norm"])
 
 

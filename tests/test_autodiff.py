@@ -143,8 +143,68 @@ def test_rms_norm_grad():
     np.testing.assert_allclose(w.grad, want, rtol=1e-6, atol=1e-8)
 
 
-def test_silu_gelu_grad():
-    fd_check(lambda x: total(ad.silu(x)), RNG.normal(size=(7,)))
+def test_ffn_grad_matches_finite_differences():
+    ops = [RNG.normal(size=s) for s in [(2, 3, 4), (4, 5), (4, 5), (5, 4)]]
+    for i in range(4):  # each operand in turn carries the gradient, the others are ndarrays
+        fd_check(lambda x: ad.sum_squares(ad.ffn(*ops[:i], x, *ops[i + 1:])), ops[i])
+
+
+def unfused_ffn(h, w_gate, w_up, w_down, g):
+    """The output of the FFN as the matmul, silu, mul and matmul chain it once
+    was, and the gradients of h and the three weights for output gradient g,
+    each formed as that chain's backward formed it."""
+    def rows(a, w):  # one 2-D GEMM over all leading rows
+        return (a.reshape(-1, w.shape[0]) @ w).reshape(*a.shape[:-1], w.shape[1])
+
+    def summed(a, g):  # batched over the leading axes, then summed over them
+        prod = np.swapaxes(a, -1, -2) @ g
+        return prod.sum(axis=tuple(range(prod.ndim - 2)))
+
+    gate, up = rows(h, w_gate), rows(h, w_up)
+    sg, s = ad.silu_fwd(gate)
+    prod = sg * up
+    d_prod = rows(g, w_down.T)
+    d_gate, d_up = d_prod * up * s * (1.0 + gate * (1.0 - s)), d_prod * sg
+    d_h = rows(d_gate, w_gate.T) + rows(d_up, w_up.T)
+    return rows(prod, w_down), d_h, summed(h, d_gate), summed(h, d_up), summed(prod, g)
+
+
+ROWS = (1, 2, 127)  # one or two rows is where BLAS takes other paths than for many rows
+
+
+@pytest.mark.parametrize("lead", [(r,) for r in ROWS] + [(b, r) for b in (1, 2, 8) for r in ROWS])
+def test_ffn_matches_the_unfused_chain_bit_for_bit(lead):
+    d, f = 128, 256
+    ops = [RNG.normal(size=s) for s in [lead + (d,), (d, f), (d, f), (f, d)]]
+    g = RNG.normal(size=lead + (d,))
+    tensors = [Tensor(a, requires_grad=True) for a in ops]
+    out = ad.ffn(*tensors)
+    total(out * g).backward()  # out's gradient is exactly g
+    want = unfused_ffn(*ops, g)
+    np.testing.assert_array_equal(out.data, want[0])
+    for t, grad in zip(tensors, want[1:]):
+        np.testing.assert_array_equal(t.grad, grad)
+
+
+def test_ffn_makes_no_gradient_node_for_ndarray_weights():
+    h = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    weights = [RNG.normal(size=s) for s in [(4, 5), (4, 5), (5, 4)]]
+    out = ad.ffn(h, *weights)
+    assert out._node.parents == (h._node,)
+    total(out).backward()
+    assert h.grad.shape == h.shape
+    frozen = ad.ffn(Tensor(h.data), *(Tensor(w) for w in weights))
+    assert not frozen.requires_grad and frozen._node is None
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (8,), (2, 3)])
+def test_weight_grad_is_the_batched_product_summed(lead):
+    for m, k, n in [(1, 5, 4), (2, 5, 4), (127, 128, 512)]:
+        a, g = RNG.normal(size=lead + (m, k)), RNG.normal(size=lead + (m, n))
+        batched = np.swapaxes(a, -1, -2) @ g
+        got = ad._weight_grad(a, g)
+        assert got.shape == (k, n)
+        np.testing.assert_array_equal(got, batched.sum(axis=tuple(range(len(lead)))))
 
 
 def test_rope_rotate_grad_and_norm_preservation():
@@ -166,7 +226,8 @@ def test_layer_ops_on_ndarrays_return_the_tensor_op_values():
     w = RNG.normal(size=(8,))
     cos, sin = np.cos(RNG.normal(size=(5, 1, 4))), np.sin(RNG.normal(size=(5, 1, 4)))
     mask = np.where(RNG.random(size=(3, 8)) < 0.3, ad.MASK_NEG, 0.0)
-    for op, args in [(ad.rms_norm, (w,)), (ad.silu, ()), (ad.rope_rotate, (cos, sin)),
+    ffn_weights = tuple(RNG.normal(size=s) for s in [(8, 6), (8, 6), (6, 8)])
+    for op, args in [(ad.rms_norm, (w,)), (ad.ffn, ffn_weights), (ad.rope_rotate, (cos, sin)),
                      (ad.matmul, (RNG.normal(size=(8, 6)),))]:
         got = op(x, *args)
         assert type(got) is np.ndarray

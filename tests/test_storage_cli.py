@@ -378,12 +378,17 @@ def test_experiment_config_rejects_bad_sections_naming_the_field(d, field):
 
 def test_cli_reports_bad_config_fields_without_a_traceback(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    for bad, message in [({"prune_ratio": "x"}, "prune_ratio must be"),
-                         ([1, 2], "config must be a JSON object")]:
-        cfg_path.write_text(json.dumps(bad))
+    for content, message in [
+            (json.dumps({"prune_ratio": "x"}).encode(), "prune_ratio must be"),
+            (b"[1, 2]", f"config {cfg_path} must be a JSON object, got [1, 2]"),
+            (b"{x: 1}", f"config {cfg_path} is not JSON: Expecting property name enclosed in "
+                        f"double quotes: line 1 column 2 (char 1)"),
+            (b"\xff{}", f"config {cfg_path} is not JSON: ")]:  # not UTF-8
+        cfg_path.write_bytes(content)
         assert cli.main(["memory-report", str(tmp_path / "beta.pkv"),
                          "--config", str(cfg_path)]) == cli.EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error: " + message)
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
 def _fields(cls, values):
@@ -564,6 +569,17 @@ def test_cli_refused_commands_leave_no_output_directory(tmp_path, capsys, comman
         with pytest.raises(ValueError, match="unknown eval mode 'bogus'"):
             experiment.cmd_eval(cfg, decode[1], "bogus", out_dir=str(out))
         assert not out.exists()
+        # refused for samples shorter than a norm baseline's query window
+        for mode, query, rows in [("static_norm", 64, "calibration samples are 23"),
+                                  ("dynamic_norm", 32, "contexts are 22")]:
+            short = tmp_path / f"{mode}.json"
+            storage.save_json(short, {**cfg.to_dict(), "q_window": 32})  # static_norm's is 64
+            argv = ["eval", decode[1], "--out", str(out), "--config", str(short), "--mode", mode]
+            assert cli.main(argv) == cli.EXIT_ERROR
+            assert capsys.readouterr().err == (
+                f"error: {rows} tokens at eval_seq_len 64 and vocab_size 32, shorter than "
+                f"{mode}'s {query}-row query window\n")
+            assert not out.exists()
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

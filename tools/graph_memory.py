@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Traced memory of one pretraining graph: the default model's answer loss
+on its longest default batch, 8 dense_retrieval samples of 127 tokens.
+
+Prints two lines, in MiB as `tracemalloc` counts them from just before the
+forward pass: what the graph holds once `answer_loss` returns, and the peak
+of `answer_loss` plus `backward`. The parameters are made before tracing
+starts, so neither figure counts them. Run from the repository root:
+
+    PYTHONPATH=src python tools/graph_memory.py
+
+`--tiny` runs a two-layer model on 2 samples of 31 tokens, in well under a
+second.
+"""
+import argparse
+import tracemalloc
+
+from prunekv import model, tasks
+
+TINY = model.ModelConfig(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=32,
+                         vocab_size=512, max_pos=256)
+
+
+def measure(config, batch):
+    """(MiB held after the forward pass, peak MiB of forward plus backward)."""
+    toy = model.ToyTransformer.create(config, seed=0)
+    toy.set_trainable(True)
+    tracemalloc.start()
+    try:
+        loss = model.answer_loss(toy, batch)
+        graph = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return graph / 2 ** 20, peak / 2 ** 20
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tiny", action="store_true", help="a two-layer model, 2 samples")
+    args = parser.parse_args(argv)
+    config, n, seq_len = (TINY, 2, 32) if args.tiny else (model.ModelConfig(), 8, 128)
+    batch = [tasks.generate(tasks.TaskSpec(kind=tasks.DENSE_RETRIEVAL, seq_len=seq_len, seed=i,
+                                           vocab_size=config.vocab_size)) for i in range(n)]
+    graph, peak = measure(config, batch)
+    t = len(batch[0].tokens)
+    print(f"graph after forward ({n} x {t}): {graph:.1f} MiB")
+    print(f"peak of answer_loss + backward ({n} x {t}): {peak:.1f} MiB")
+
+
+if __name__ == "__main__":
+    main()
