@@ -1,7 +1,8 @@
 """Deployment-path inference through a partitioned, channel-pruned key cache.
 
 `np_forward` (prefill) and `decode_step` run the model's one layer body,
-`model.layers`, on numpy rows and differ only in the attention step. Keys in
+`model.layers`, on numpy rows and differ only in the attention step; prefill
+runs it once per chunk of `PREFILL_CHUNK` prompt rows. Keys in
 a query's middle (`middle_end`, the one region rule) are used through their
 head's kept channels, all others full width; keys leaving the window are
 migrated to pruned stores in batches, a pure storage event. Each layer packs
@@ -23,6 +24,10 @@ from . import model as model_mod
 DEFAULT_MIGRATE_EVERY = 32
 DEFAULT_BYTES_PER_ELEMENT = 2  # fp16 deployment accounting
 PREFILL_BLOCK = 64  # query rows per prefill block; fastest of 32/64/128/256
+# prompt rows per pass of the layer stack; a multiple of PREFILL_BLOCK, so the
+# chunks keep one pass's row blocks. Against one pass (2 vCPU), 64-row chunks
+# made prefill 1.08-1.18x slower at T = 252-609, 256-row ones 0.98-1.08x
+PREFILL_CHUNK = 256
 _DIAGONAL_MASK = np.where(np.tril(np.ones((PREFILL_BLOCK, PREFILL_BLOCK), dtype=bool)),
                           0.0, ad.MASK_NEG)
 
@@ -43,23 +48,38 @@ def _check_tokens(tokens, config):
     return tokens
 
 
+def _chunks(t):
+    """[lo, hi) of each prefill chunk. A 1-row remainder joins the chunk
+    before it: numpy sums a 1-row product differently from the same row of
+    a larger one, so every other chunk gives the one-pass bits."""
+    cuts = list(range(0, t, PREFILL_CHUNK)) + [t]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return zip(cuts[:-1], cuts[1:])
+
+
 def np_forward(weights, config, tokens, want_q=False, rows=None):
-    """Plain-numpy causal attention forward over a prompt, row-blocked.
+    """Plain-numpy causal attention forward over a prompt, chunked and row-blocked.
 
     Returns (per-layer list, logits (rows, vocab) of the trailing `rows`
     positions; every position if `rows` is None). Each layer entry is (k, v)
     of shape (T, n_kv, d) post-RoPE, plus the unscaled q (T, n_q, d) if
-    requested; these cover every position whatever `rows` is. The last
-    layer's attention, FFN and `lm_head` run only for the trailing `rows`
-    positions, as nothing else reads them. Query rows go in blocks of
-    `PREFILL_BLOCK`: block [lo, hi) scores only keys [0, hi), which hold
-    every key its rows can see, so each block's plain softmax is exact and
-    the score buffer is (n_kv, g, PREFILL_BLOCK, hi), not (T, T). Mask
-    learning's context pass (`model.context_kv`) and `analysis.record_qk`
-    run it too, with `rows=0`.
+    requested; these cover every position whatever `rows` is. The layer
+    stack runs once per chunk of `PREFILL_CHUNK` rows (`_chunks`), each
+    chunk's attention writing its k and v into the layer's (T, n_kv, d)
+    buffers, so activations and FFN temporaries are bounded by the chunk,
+    not by T. The last layer's attention, FFN and `lm_head` run only for the
+    trailing `rows` positions, as nothing else reads them. Query rows go in
+    blocks of `PREFILL_BLOCK`: block [lo, hi) scores only keys [0, hi),
+    which hold every key its rows can see, so each block's plain softmax is
+    exact and the score buffer is (n_kv, g, PREFILL_BLOCK, hi), not (T, T).
+    For `rows` in None, 0 and 1 the result is the one-pass result bit for
+    bit. Mask learning's context pass (`model.context_kv`) and
+    `analysis.record_qk` run it too, with `rows=0`. Raises ValueError for
+    token ids outside [0, vocab_size).
     """
     c = config
-    tokens = np.asarray(tokens)
+    tokens = _check_tokens(tokens, c)
     t = len(tokens)
     if t > c.max_pos:
         raise ValueError(f"sequence length {t} exceeds max_pos {c.max_pos}")
@@ -67,34 +87,42 @@ def np_forward(weights, config, tokens, want_q=False, rows=None):
         rows = t
     if not 0 <= rows <= t:
         raise ValueError(f"rows must be in [0, {t}], got {rows}")
-    layers = []
+    heads = ((c.n_q_heads,) if want_q else ()) + (c.n_kv_heads, c.n_kv_heads)
+    layers = [tuple(np.empty((t, n, c.head_dim)) for n in heads) for _ in range(c.n_layers)]
+    off, hs = t - rows, []  # positions [off, t) get logits
 
-    def attend(i, q, k, v):
-        layers.append((q, k, v) if want_q else (k, v))
-        first = t - rows if i == c.n_layers - 1 else 0  # earlier layers feed every row on
-        qh = (q[first:] * (1.0 / np.sqrt(c.head_dim))).transpose(1, 0, 2).reshape(
-            c.n_kv_heads, c.group_size, t - first, c.head_dim)
-        kt, vh = k.transpose(1, 2, 0)[:, None], v.transpose(1, 0, 2)[:, None]
-        out = np.empty((t - first, c.n_kv_heads, c.group_size, c.head_dim))
-        blocks = out.transpose(1, 2, 0, 3)  # (n_kv, g, t - first, d) view of out
-        for lo in range(first, t, PREFILL_BLOCK):
-            hi = min(lo + PREFILL_BLOCK, t)
-            s = qh[:, :, lo - first:hi - first] @ kt[..., :hi]
-            s[..., lo:] += _DIAGONAL_MASK[:hi - lo, :hi - lo]  # causal only on the diagonal
-            np.matmul(ad.softmax_(s), vh[:, :, :hi], out=blocks[:, :, lo - first:hi - first])
-        return out.reshape(t - first, c.d_model)
+    def attend(i, q, k, v):  # rows [lo, hi) of layer i
+        *rest, kb, vb = layers[i]
+        kb[lo:hi], vb[lo:hi] = k, v
+        if want_q:
+            rest[0][lo:hi] = q
+        first = ans if i == c.n_layers - 1 else lo  # earlier layers feed every row on
+        qh = (q[first - lo:] * (1.0 / np.sqrt(c.head_dim))).transpose(1, 0, 2).reshape(
+            c.n_kv_heads, c.group_size, hi - first, c.head_dim)
+        kt, vh = kb.transpose(1, 2, 0)[:, None], vb.transpose(1, 0, 2)[:, None]
+        out = np.empty((hi - first, c.n_kv_heads, c.group_size, c.head_dim))
+        blocks = out.transpose(1, 2, 0, 3)  # (n_kv, g, hi - first, d) view of out
+        for b_lo in range(first, hi, PREFILL_BLOCK):
+            b_hi = min(b_lo + PREFILL_BLOCK, hi)
+            s = qh[:, :, b_lo - first:b_hi - first] @ kt[..., :b_hi]
+            s[..., b_lo:] += _DIAGONAL_MASK[:b_hi - b_lo, :b_hi - b_lo]  # causal only on the diagonal
+            np.matmul(ad.softmax_(s), vh[:, :, :b_hi],
+                      out=blocks[:, :, b_lo - first:b_hi - first])
+        return out.reshape(hi - first, c.d_model)
 
-    h = model_mod.layers(weights, c, weights["tok_emb"][tokens], 0, attend)
-    return layers, h @ weights["lm_head"]
+    for lo, hi in _chunks(t):
+        ans = min(hi, max(lo, off))  # the chunk's answered rows are [ans, hi)
+        hs.append(model_mod.layers(weights, c, weights["tok_emb"][tokens[lo:hi]], lo, attend))
+    return layers, np.concatenate(hs) @ weights["lm_head"]  # once the chunks' temporaries are gone
 
 
-def _reserve(buf, size, axis=0):
+def _reserve(buf, size, limit, axis=0):
     """`buf` if it holds `size` positions along `axis`, else a copy with room
-    for twice as many."""
+    for twice as many, or for `limit`, the most it can ever hold, if fewer."""
     if buf.shape[axis] >= size:
         return buf
     shape = list(buf.shape)
-    shape[axis] = 2 * size
+    shape[axis] = min(2 * size, limit)
     grown = np.empty(shape)
     grown[(slice(None),) * axis + (slice(buf.shape[axis]),)] = buf
     return grown
@@ -112,17 +140,18 @@ class PartitionedKVCache:
     (n_kept_heads, capacity, d) has one slab per non-streaming head. A
     streaming head, one whose mask row is all zeros, adds no rows to either.
     Stores grow by doubling along the position axis, so only their leading
-    positions are live; migration rebuilds the full store without the rows
-    it moved.
+    positions are live, but never past the most positions they can hold
+    under max_pos: max_pos - sink - window for the pruned stores. Migration
+    rebuilds the full store without the rows it moved.
     """
 
     def __init__(self, config, beta, sink, window, migrate_every=DEFAULT_MIGRATE_EVERY):
         bits = np.asarray(beta.bits)
         if bits.shape != config.factor_shape:
             raise ValueError(f"mask shape {bits.shape} != model {config.factor_shape}")
-        if sink < 0 or window < 0 or migrate_every < 1:
-            raise ValueError(f"need sink >= 0, window >= 0 and migrate_every >= 1, "
-                             f"got {sink}, {window} and {migrate_every}")
+        for name, value, low in (("sink", sink, 0), ("window", window, 0),
+                                 ("migrate_every", migrate_every, 1)):
+            model_mod.check_int(name, value, low)
         counts = self.counts = beta.kept_counts()  # (L, n_kv) kept channels per head
         if sink + window == 0 and not counts.all():
             raise ValueError("streaming heads need sink + window >= 1 key to attend to")
@@ -176,8 +205,8 @@ class PartitionedKVCache:
         n_kv, n_q, d = c.n_kv_heads, c.n_q_heads, c.head_dim
         mid, n = self.mid_tokens, self.seq_len - self.mid_tokens
         lo, hi = self.sink, self.sink + self.pending  # full-store rows [lo, hi) are pending
-        kf = self.k_full[i] = _reserve(self.k_full[i], n)
-        vf = self.v_full[i] = _reserve(self.v_full[i], n)
+        kf = self.k_full[i] = _reserve(self.k_full[i], n, c.max_pos - mid)
+        vf = self.v_full[i] = _reserve(self.v_full[i], n, c.max_pos - mid)
         kf[n - 1], vf[n - 1] = k[0], v[0]
         qh = q[0].reshape(n_kv, c.group_size, d) * (1.0 / np.sqrt(d))
         s = np.empty((n_kv, c.group_size, mid + n))  # columns: migrated middle, then full store
@@ -209,12 +238,11 @@ def prefill_and_partition(model, beta, tokens, sink, window, migrate_every=DEFAU
     The last position's middle (`middle_end`) migrates at once to the pruned
     stores; the others stay full width, so a prompt shorter than sink +
     window leaves the pruned stores empty. Raises ValueError for a mask of
-    the wrong shape, a negative sink or window, `migrate_every` < 1, or
-    token ids outside [0, vocab_size). Returns (cache, logits of the last
-    prompt position).
+    the wrong shape, a sink or window that is not an int >= 0, a
+    `migrate_every` that is not an int >= 1, or token ids outside [0,
+    vocab_size). Returns (cache, logits of the last prompt position).
     """
     cache = PartitionedKVCache(model.config, beta, sink, window, migrate_every)
-    tokens = _check_tokens(tokens, model.config)
     layers, logits = np_forward(model.weights_numpy(), model.config, tokens, rows=1)
     cache.k_full = [k for k, _ in layers]  # every position full width, then migrate
     cache.v_full = [v for _, v in layers]
@@ -228,10 +256,11 @@ def _migrate(cache, n):
     if n == 0:
         return cache
     lo, mid, rows = cache.sink, cache.mid_tokens, cache.seq_len - cache.mid_tokens
+    limit = cache.config.max_pos - cache.sink - cache.window  # the most middle positions
     for i in range(cache.config.n_layers):
         kf, vf = cache.k_full[i], cache.v_full[i]
-        km = cache.k_mid[i] = _reserve(cache.k_mid[i], mid + n, axis=1)
-        vm = cache.v_mid[i] = _reserve(cache.v_mid[i], mid + n, axis=1)
+        km = cache.k_mid[i] = _reserve(cache.k_mid[i], mid + n, limit, axis=1)
+        vm = cache.v_mid[i] = _reserve(cache.v_mid[i], mid + n, limit, axis=1)
         km[:, mid:mid + n] = kf[lo:lo + n].reshape(n, -1)[:, cache._k_gather[i]].T
         vm[:, mid:mid + n] = vf[lo:lo + n, cache._kept_heads[i]].transpose(1, 0, 2)
         cache.k_full[i] = np.concatenate([kf[:lo], kf[lo + n:rows]])  # compact: no dead rows
@@ -271,8 +300,7 @@ def greedy_decode(model, tokens, n_new, beta, sink, window,
     is fed to the cache only with `collect_logits`, which records its
     logits; otherwise the returned cache ends one position before it.
     """
-    if n_new < 0:
-        raise ValueError(f"n_new must be >= 0, got {n_new}")
+    model_mod.check_int("n_new", n_new, 0)
     total = len(tokens) + (0 if question is None else len(question)) + n_new
     if total > model.config.max_pos:
         raise ValueError(f"prompt, question and n_new need {total} positions, "
@@ -319,9 +347,9 @@ def stored_elements(counts, head_dim, full, mid):
 def memory_report(beta, config, seq_len, sink, window,
                   bytes_per_element=DEFAULT_BYTES_PER_ELEMENT):
     """Cache footprint of the pruned layout vs a full-width baseline."""
-    if seq_len < 1 or bytes_per_element < 1:
-        raise ValueError(f"need seq_len >= 1 and bytes_per_element >= 1, "
-                         f"got {seq_len} and {bytes_per_element}")
+    for name, value, low in (("seq_len", seq_len, 1), ("sink", sink, 0), ("window", window, 0),
+                             ("bytes_per_element", bytes_per_element, 1)):
+        model_mod.check_int(name, value, low)
     c = config
     if beta.bits.shape != c.factor_shape:
         raise ValueError(f"mask shape {beta.bits.shape} != model factor shape {c.factor_shape}")

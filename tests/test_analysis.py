@@ -46,6 +46,15 @@ def test_channel_norm_ratios_window_validation():
         analysis.channel_norm_ratios(toy, sample(3, seq_len=24), obs_window=100)
 
 
+def test_channel_norm_ratios_reject_bad_token_ids():
+    # -1 used to index the last embedding row, as if it were vocab_size - 1
+    toy = ToyTransformer.create(CFG, seed=3)
+    s = sample(3)
+    s.ctx_tokens[5] = -1
+    with pytest.raises(ValueError, match=r"token ids must be in \[0, 64\), got \[-1\]"):
+        analysis.channel_norm_ratios(toy, s, obs_window=8)
+
+
 def test_zero_logit_heads_score_zero():
     # q is zero in layer 0, so every layer-0 head has ||q k^T||_F = 0
     toy = ToyTransformer.create(CFG, seed=12)

@@ -86,10 +86,35 @@ def test_blocked_prefill_matches_reference_across_block_edges(t):
             np_forward(toy.weights_numpy(), CFG, tokens, rows=rows)
 
 
+@pytest.mark.parametrize("t", [cache.PREFILL_CHUNK - 1, cache.PREFILL_CHUNK,
+                               cache.PREFILL_CHUNK + 1, cache.PREFILL_CHUNK + 2,
+                               2 * cache.PREFILL_CHUNK + 1])
+def test_chunked_prefill_gives_the_one_chunk_bits(t, monkeypatch):
+    # at t = PREFILL_CHUNK + 1 the 1-row remainder joins the chunk before it,
+    # as a 1-row product sums differently from the same row of a larger one
+    c = ModelConfig(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=32,
+                    vocab_size=64, max_pos=2 * cache.PREFILL_CHUNK + 1)
+    w = ToyTransformer.create(c, seed=5).weights_numpy()
+    tokens = np.random.default_rng(t).integers(0, c.vocab_size, size=t)
+    cases = [(rows, want_q) for rows in (None, 0, 1) for want_q in (False, True)]
+    chunked = [np_forward(w, c, tokens, want_q, rows) for rows, want_q in cases]
+    monkeypatch.setattr(cache, "PREFILL_CHUNK", c.max_pos)
+    for (rows, want_q), (layers, logits) in zip(cases, chunked):
+        one_layers, one_logits = np_forward(w, c, tokens, want_q, rows)
+        np.testing.assert_array_equal(logits, one_logits)
+        for got, want in zip(layers, one_layers):
+            assert len(got) == len(want) == 2 + want_q
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+
 def test_prefill_memory_bound_at_max_pos():
-    # one prefill at T = max_pos = 2048 on the default model: the row blocks
-    # keep the score buffer at (n_kv, g, PREFILL_BLOCK, T), about 34 MiB
-    # traced; a full (n_kv, g, T, T) buffer plus a (T, T) mask took 306 MiB
+    # one prefill at T = max_pos = 2048 on the default model peaks at about
+    # 27.3 MiB traced (tools/graph_memory.py): the per-layer k and v, the
+    # logits and one PREFILL_CHUNK-row chunk's activations, whose attention
+    # scores one (n_kv, g, PREFILL_BLOCK, T) block at a time. One pass over
+    # all T rows took 36.0 MiB; a full (n_kv, g, T, T) buffer plus a (T, T)
+    # mask took 306 MiB
     c = ModelConfig()
     toy = ToyTransformer.create(c, seed=0)
     tokens = np.random.default_rng(0).integers(0, c.vocab_size, size=c.max_pos)
@@ -101,7 +126,7 @@ def test_prefill_memory_bound_at_max_pos():
     finally:
         tracemalloc.stop()
     assert np.isfinite(logits).all()
-    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+    assert peak < 30 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_identity_mask_decode_matches_dense():
@@ -136,6 +161,25 @@ def test_pruned_decode_matches_stateless_reference():
         np.testing.assert_array_equal(got, want)
         for a, b in zip(trace, want_trace):
             np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+def test_pruned_stores_stop_at_the_most_middle_positions():
+    # decoding to the last position max_pos allows: prefill's migration of
+    # 188 positions used to reserve 376 where 244 is the most a cache can hold
+    rng = np.random.default_rng(15)
+    toy = make_model(15)
+    prompt = rng.integers(0, CFG.vocab_size, size=200)
+    beta, sink, window = random_beta(rng), 4, 8
+    n_new = CFG.max_pos - len(prompt)
+    got, trace, kv = greedy_decode(toy, prompt, n_new, beta, sink, window, collect_logits=True)
+    assert kv.seq_len == CFG.max_pos
+    for store in kv.k_mid + kv.v_mid:
+        assert kv.mid_tokens <= store.shape[1] <= CFG.max_pos - sink - window
+    want, want_trace = helpers.reference_greedy_decode(
+        toy.weights_numpy(), CFG, prompt, n_new, beta.bits, sink, window)
+    np.testing.assert_array_equal(got, want)
+    for a, b in zip(trace, want_trace):
+        np.testing.assert_allclose(a, b, atol=1e-8)
 
 
 def test_streaming_head_matches_sink_local_only_attention():
@@ -322,10 +366,14 @@ def test_engine_rejects_bad_input():
     for bad in ([1, CFG.vocab_size], [-1, 2], [], [0.5]):
         with pytest.raises(ValueError, match="token"):
             prefill_and_partition(toy, ones, bad, 4, 8)
-    with pytest.raises(ValueError, match="migrate_every"):
-        prefill_and_partition(toy, ones, prompt, 4, 8, migrate_every=0)
-    with pytest.raises(ValueError, match="n_new"):
-        greedy_decode(toy, prompt, -3, ones, 4, 8)
+    for sink, window, every, name in [(2.0, 8, 4, "sink"), (4, True, 4, "window"),
+                                      (-1, 8, 4, "sink"), (4, 8, 0, "migrate_every"),
+                                      (4, 8, 2.5, "migrate_every")]:
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            prefill_and_partition(toy, ones, prompt, sink, window, migrate_every=every)
+    for n_new in (-3, 2.0, True):
+        with pytest.raises(ValueError, match="n_new must be an int >= 0"):
+            greedy_decode(toy, prompt, n_new, ones, 4, 8)
     kv, _ = prefill_and_partition(toy, ones, prompt, 4, 8)
     with pytest.raises(ValueError, match="token ids"):
         cache.decode_step(toy, kv, CFG.vocab_size)
@@ -403,11 +451,16 @@ def test_live_store_elements_equal_stored_counts(zeroed):
 
 def test_memory_report_rejects_bad_sizes():
     ones = BinaryChannelMask.all_ones(CFG.factor_shape)
-    for seq_len in (0, -5):
-        with pytest.raises(ValueError, match="seq_len"):
+    for seq_len in (0, -5, 10.5, True):
+        with pytest.raises(ValueError, match="seq_len must be a positive int"):
             memory_report(ones, CFG, seq_len, 4, 8)
-    for bpe in (0, -2):
-        with pytest.raises(ValueError, match="bytes_per_element"):
+    # a negative window counted 12 middle positions in a 10-position cache
+    for sink, window, name in [(2, -4, "window"), (-3, 4, "sink"), (2.0, 4, "sink"),
+                               (2, True, "window")]:
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 0"):
+            memory_report(ones, CFG, 10, sink, window)
+    for bpe in (0, -2, 2.5, True):  # 2.5 gave float byte counts
+        with pytest.raises(ValueError, match="bytes_per_element must be a positive int"):
             memory_report(ones, CFG, 16, 4, 8, bytes_per_element=bpe)
     # a mask of another model's shape
     for shape, config in [((1, 1, 16), ModelConfig()), ((2, 2, 4), CFG), ((3, 2, 8), CFG)]:

@@ -12,6 +12,7 @@ def test_graph_memory_prints_the_graph_and_its_peak(capsys):
     graph_memory.main(["--tiny"])
     lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert list(lines) == ["graph after forward (2 x 31)",
-                           "peak of answer_loss + backward (2 x 31)"]
-    graph, peak = (float(v.removesuffix(" MiB")) for v in lines.values())
-    assert 0 < graph <= peak
+                           "peak of answer_loss + backward (2 x 31)",
+                           "peak of np_forward (T = 256)"]
+    graph, peak, prefill = (float(v.removesuffix(" MiB")) for v in lines.values())
+    assert 0 < graph <= peak and prefill > 0

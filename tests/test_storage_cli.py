@@ -439,11 +439,14 @@ def test_cli_memory_report(tmp_path, capsys):
     assert code == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert 0.0 < out["k_reduction_fraction"] < 1.0
-    for flag, value in [("--seq-len", "0"), ("--seq-len", "-5"), ("--bytes-per-element", "0")]:
+    for flag, value, message in [("--seq-len", "0", "seq_len must be a positive int, got 0"),
+                                 ("--seq-len", "-5", "seq_len must be a positive int, got -5"),
+                                 ("--bytes-per-element", "0",
+                                  "bytes_per_element must be a positive int, got 0")]:
         code = cli.main(["memory-report", str(beta_path), flag, value])
         assert code == cli.EXIT_ERROR
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: need seq_len >= 1") and captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
 
 @pytest.mark.parametrize("dims", [{}, {"n_kv_heads": 2, "head_dim": 8},
@@ -501,7 +504,7 @@ def test_cli_decode_with_explicit_tokens(tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["--tokens", "1,2,99"], "token ids must be in [0, 32)"),
     (["--tokens", "1,-5,3"], "token ids must be in [0, 32)"),
-    (["--tokens", "1,2,3", "--n-new", "-3"], "n_new must be >= 0"),
+    (["--tokens", "1,2,3", "--n-new", "-3"], "n_new must be an int >= 0"),
     (["--tokens", "1,2,3", "--n-new", "3000"], "need 3003 positions, more than max_pos 64"),
 ])
 def test_cli_decode_rejects_bad_input(tmp_path, capsys, args, message):

@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Traced memory of one pretraining graph: the default model's answer loss
-on its longest default batch, 8 dense_retrieval samples of 127 tokens.
+"""Traced memory of one pretraining graph and of one prefill: the default
+model's answer loss on its longest default batch, 8 dense_retrieval samples
+of 127 tokens, and `cache.np_forward` over max_pos tokens.
 
-Prints two lines, in MiB as `tracemalloc` counts them from just before the
-forward pass: what the graph holds once `answer_loss` returns, and the peak
-of `answer_loss` plus `backward`. The parameters are made before tracing
-starts, so neither figure counts them. Run from the repository root:
+Prints three lines, in MiB as `tracemalloc` counts them from just before
+each pass: what the graph holds once `answer_loss` returns, the peak of
+`answer_loss` plus `backward`, and the peak of one prefill at T = max_pos
+with every row's logits (rows=None). The parameters are made before tracing
+starts, so no figure counts them. Run from the repository root:
 
     PYTHONPATH=src python tools/graph_memory.py
 
-`--tiny` runs a two-layer model on 2 samples of 31 tokens, in well under a
-second.
+`--tiny` runs a two-layer model on 2 samples of 31 tokens and a prefill of
+its max_pos = 256 tokens, in well under a second.
 """
 import argparse
 import tracemalloc
 
-from prunekv import model, tasks
+import numpy as np
+
+from prunekv import cache, model, tasks
 
 TINY = model.ModelConfig(n_layers=2, n_q_heads=4, n_kv_heads=2, head_dim=8, d_ff=32,
                          vocab_size=512, max_pos=256)
@@ -36,6 +40,19 @@ def measure(config, batch):
     return graph / 2 ** 20, peak / 2 ** 20
 
 
+def prefill_peak(config):
+    """Peak MiB of one `np_forward` over max_pos random tokens, every row's logits."""
+    weights = model.ToyTransformer.create(config, seed=0).weights_numpy()
+    tokens = np.random.default_rng(0).integers(0, config.vocab_size, size=config.max_pos)
+    tracemalloc.start()
+    try:
+        cache.np_forward(weights, config, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2 ** 20
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="a two-layer model, 2 samples")
@@ -47,6 +64,7 @@ def main(argv=None):
     t = len(batch[0].tokens)
     print(f"graph after forward ({n} x {t}): {graph:.1f} MiB")
     print(f"peak of answer_loss + backward ({n} x {t}): {peak:.1f} MiB")
+    print(f"peak of np_forward (T = {config.max_pos}): {prefill_peak(config):.1f} MiB")
 
 
 if __name__ == "__main__":
