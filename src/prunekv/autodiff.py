@@ -8,6 +8,8 @@ only if that operand requires one, and keeps only the arrays it reads.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 MASK_NEG = -1e30  # additive-mask value for keys a query must not see
@@ -24,6 +26,18 @@ class DivergenceError(RuntimeError):
     def __init__(self, step, value):
         super().__init__(f"non-finite loss {value!r} at step {step}")
         self.step = step
+
+
+def check_int(name, value, low=1):
+    """ValueError naming `name` unless `value` is an int >= `low` (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        kind = "a positive int" if low == 1 else f"an int >= {low}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def is_real(value):
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_broadcast(a_shape, b_shape):
@@ -384,7 +398,8 @@ def rms_norm_fwd(x, w):
 
 def silu_fwd(x):
     """(x * sigmoid(x), sigmoid(x))."""
-    s = 1.0 / (1.0 + np.exp(-x))
+    s = np.negative(x)
+    np.reciprocal(np.add(np.exp(s, out=s), 1.0, out=s), out=s)  # 1 / (1 + exp(-x)) in one array
     return x * s, s
 
 
@@ -402,30 +417,50 @@ def rotate_half(x, cos, sin):
     """Rotate-half RoPE, pairing channel i with i + d/2; `cos`/`sin` broadcast
     against either half of `x`. With `-sin` it is the inverse and the gradient."""
     h = x.shape[-1] // 2
-    x1, x2 = x[..., :h], x[..., h:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    xr = x.reshape(x.shape[:-1] + (2, h))  # [x1, x2]; out is [x1 cos + x2 (-sin), x2 cos + x1 sin]
+    out = xr * np.concatenate((cos, cos), axis=-1).reshape(cos.shape[:-1] + (2, h))
+    out += xr[..., ::-1, :] * np.concatenate((-sin, sin), axis=-1).reshape(sin.shape[:-1] + (2, h))
+    return out.reshape(out.shape[:-2] + (2 * h,))
 
 
-def attention(scores, v, additive_mask):
-    """softmax(scores + additive_mask) @ v as one node, over the last axis.
+def attention(score, operands, v, additive_mask):
+    """softmax(score(*operands) + additive_mask) @ v as one node, over the last axis.
 
-    scores is (..., g, Tq, Tk); v is (..., 1, Tk, d), shared by the g query
-    heads of its group. Masked-out keys carry a large negative value in
-    `additive_mask` (selection semantics). The probabilities are the only
-    score-sized array the node keeps; the score gradient is formed in place
-    in the product of the output gradient with v, and v's gradient is summed
-    over g. With ndarray scores and v the result is a plain ndarray.
+    `score` gives the scores (..., g, Tq, Tk), with the same bits on the
+    operands' arrays as on the Tensors. v is (..., 1, Tk, d), shared by the g
+    query heads of its group. The mask (large negative at masked-out keys) is
+    added into the scores array the node owns, never into an operand's. The
+    node keeps each row's max and sum and the operands' arrays, which the
+    score graph holds anyway: backward recomputes the probabilities from them
+    with the same ops (as FlashAttention, arXiv 2205.14135), so every gradient
+    has the bits of a kept copy. With ndarray operands and v it is an ndarray.
     """
+    scores = score(*operands)
+    arrays = [o.data if isinstance(o, Tensor) else o for o in operands]
     if scores.shape[:-3] != v.shape[:-3] or v.shape[-3] != 1 or v.shape[-2] != scores.shape[-1]:
         raise ShapeError(f"attention got scores {scores.shape}, v {v.shape}")
+
+    def probs(s, kept=None):  # softmax(s + mask), in s if s is no operand's; its row max and sum
+        shared = any(np.may_share_memory(s, a) for a in arrays)
+        s = np.add(s, additive_mask, out=None if shared else s)
+        row_max = s.max(axis=-1, keepdims=True) if kept is None else kept[0]
+        s -= row_max
+        dead = s < -746.0  # exp is 0.0 there, and numpy's exp is slow wherever it underflows
+        np.exp(s, out=s, where=~dead)
+        np.copyto(s, 0.0, where=dead)
+        row_sum = s.sum(axis=-1, keepdims=True) if kept is None else kept[1]
+        s /= row_sum
+        return s, (row_max, row_sum)
+
     if isinstance(scores, np.ndarray) and isinstance(v, np.ndarray):
-        return softmax_(scores + additive_mask) @ v
+        return probs(scores)[0] @ v
     scores, v = _lift(scores), _lift(v)
-    p = softmax_(scores.data + additive_mask)
+    p, kept = probs(scores.data)
     ns, nv = _grad_node(scores), _grad_node(v)
     v_data = v.data if ns else None
 
     def bwd(grad):
+        p = probs(score(*arrays), kept)[0]
         if nv:
             _accum(nv, (np.swapaxes(p, -1, -2) @ grad).sum(axis=-3, keepdims=True))
         if ns:
@@ -550,8 +585,8 @@ class Adam:
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not (is_real(lr) and 0 < lr < np.inf):
+            raise ValueError(f"lr must be a positive finite number, got {lr!r}")
         self.params = list(params)
         self.lr = lr
         self.t = 0
@@ -571,9 +606,11 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            den = v / (1 - b2 ** self.t)  # lr * m_hat / (sqrt(v_hat) + EPS), in place
+            np.add(np.sqrt(den, out=den), self.EPS, out=den)
+            delta = m / (1 - b1 ** self.t)
+            np.divide(np.multiply(delta, self.lr, out=delta), den, out=delta)
+            p.data = p.data - delta
 
     def zero_grad(self):
         for p in self.params:
@@ -606,8 +643,7 @@ def fit(params, lr, steps, step_loss, log=None):
     that step. `log(step, loss)` runs after each step. A step's graph is
     released before the next `step_loss` call.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_int("steps", steps, low=0)
     _keep_freed_heap()
     opt = Adam(params, lr=lr)
     losses = []

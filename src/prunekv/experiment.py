@@ -290,7 +290,7 @@ def evaluate_mode(cfg, toy, mode, samples, beta=None):
         bits = np.ones(c.factor_shape, dtype=np.uint8)
         bits[tuple(np.array(chosen, dtype=np.int64).reshape(-1, 2).T)] = 0  # they stream
         beta = masking.BinaryChannelMask(bits=bits, r=1, keep_ratio=float(bits.mean()))
-        # the report keeps the all-ones mask, as EvalSweep.check asserts (ROADMAP J)
+        # the report keeps the all-ones mask, as EvalSweep.check asserts (ROADMAP K)
         report_beta = masking.BinaryChannelMask.all_ones(c.factor_shape)
     else:
         raise ValueError(f"unknown eval mode {mode!r}")

@@ -9,30 +9,19 @@ rows against the keys and values of one plain-numpy context pass, through
 Tensor ops only for Tensor factors; at unit factors it is the unscaled pass,
 bit for bit, so the plain-numpy distillation teacher is the same pass. One
 layer body, `layers`, runs every pass: pretraining and mask learning on
-Tensors, prefill and decode (`cache`) on ndarrays.
+Tensors, prefill and decode (`cache`) on ndarrays. Both training passes give
+the one `autodiff.attention` node a score function and its operands.
 """
 from __future__ import annotations
 
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import cache
-from .autodiff import MASK_NEG, Tensor, rope_angles
-
-
-def check_int(name, value, low=1):
-    """ValueError naming `name` unless `value` is an int >= `low` (not a bool)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        kind = "a positive int" if low == 1 else f"an int >= {low}"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-
-
-def is_real(value):
-    """True for a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+from .autodiff import MASK_NEG, Tensor, check_int, is_real, rope_angles
 
 
 @dataclass(frozen=True)
@@ -174,7 +163,7 @@ def _forward(model, tokens):
     additive = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, MASK_NEG)
     scale = 1.0 / np.sqrt(c.head_dim)
     attend = _grouped(c, lambda i, q, k, v: ad.attention(
-        (q * scale) @ k.transpose(0, 1, 2, 4, 3), v, additive))
+        operator.matmul, (q * scale, k.transpose(0, 1, 2, 4, 3)), v, additive))
     return layers(p, c, ad.embedding(p["tok_emb"], tokens), 0, attend)
 
 
@@ -227,12 +216,13 @@ def answer_rows(model, ctx, tokens, n_ans, factors, sink, window):
     w = model.weights_numpy()
     additive = np.where(causal, 0.0, MASK_NEG)
 
+    def score(q, keys, f):
+        return (q @ keys) * f_sl + ((q * f.reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
+
     def attend(i, q, k, v):
         k_ctx, v_ctx = ctx[i]
         keys = ad.concat([k_ctx, k], axis=-2).transpose(0, 1, 2, 4, 3)
-        s = (q @ keys) * f_sl
-        s = s + ((q * factors[i].reshape(1, c.n_kv_heads, 1, 1, d)) @ keys) * f_mid
-        return ad.attention(s, ad.concat([v_ctx, v], axis=-2), additive)
+        return ad.attention(score, (q, keys, factors[i]), ad.concat([v_ctx, v], axis=-2), additive)
 
     return layers(w, c, w["tok_emb"][tokens[:, n_ctx:]], n_ctx, _grouped(c, attend))
 

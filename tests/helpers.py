@@ -3,9 +3,13 @@
 Everything here is written with explicit loops and its own math, on purpose:
 these functions re-derive the transformer forward pass and the pruned
 attention semantics from first principles so the package code has something
-genuinely independent to be checked against.
+genuinely independent to be checked against. The one exception is
+`kept_probs_attention`, a copy of an earlier attention node, kept so the
+node that replaced it can be checked bit for bit against it.
 """
 import numpy as np
+
+import prunekv.autodiff as ad
 
 
 def ref_softmax(z):
@@ -226,3 +230,25 @@ def brute_force_pearson(a, b):
     am, bm = a.mean(), b.mean()
     num = ((a - am) * (b - bm)).sum()
     return num / np.sqrt(((a - am) ** 2).sum() * ((b - bm) ** 2).sum())
+
+
+def kept_probs_attention(scores, v, additive_mask):
+    """softmax(scores + additive_mask) @ v as the attention node was before it
+    recomputed the probabilities: it keeps them for backward. Same shapes and
+    gradients as `autodiff.attention` over scores built by ordinary ops."""
+    scores, v = ad._lift(scores), ad._lift(v)
+    p = ad.softmax_(scores.data + additive_mask)
+    ns, nv = ad._grad_node(scores), ad._grad_node(v)
+    v_data = v.data if ns else None
+
+    def bwd(grad):
+        if nv:
+            ad._accum(nv, (np.swapaxes(p, -1, -2) @ grad).sum(axis=-3, keepdims=True))
+        if ns:
+            ds = grad @ np.swapaxes(v_data, -1, -2)
+            for ds_r, p_r in zip(ds, p):
+                ds_r -= (ds_r * p_r).sum(axis=-1, keepdims=True)
+            ds *= p
+            ad._accum(ns, ds)
+
+    return ad._node(p @ v.data, (ns, nv), bwd)

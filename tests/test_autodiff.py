@@ -1,4 +1,6 @@
 """Gradient and optimizer checks against finite differences and hand math."""
+import operator
+import re
 import weakref
 
 import numpy as np
@@ -103,10 +105,15 @@ def test_sum_squares_closed_form_grad():
     np.testing.assert_allclose(hs.grad, 2.0 * (hs.data - hf), rtol=1e-12)
 
 
+def identity(s):
+    """The score function whose one operand is the scores."""
+    return s
+
+
 def softmax(x, mask=0.0):
     """softmax(x + mask) over the last axis of x (g, Tq, Tk): the attention
     node with v the identity, whose output is its probabilities."""
-    return ad.attention(x, np.eye(x.shape[-1])[None], mask)
+    return ad.attention(identity, (x,), np.eye(x.shape[-1])[None], mask)
 
 
 def test_softmax_rows_sum_to_one_and_grad():
@@ -296,7 +303,7 @@ def attention_grads(q0, k0, v0, scale, mask, w):
     """Output and q, k, v gradients of total(attention * w), with the scores
     built from a scaled q and k as `model._forward` builds them."""
     q, k, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
-    out = ad.attention((q * scale) @ k.transpose(0, 1, 2, 4, 3), v, mask)
+    out = ad.attention(operator.matmul, (q * scale, k.transpose(0, 1, 2, 4, 3)), v, mask)
     total(out * w).backward()
     return out.data, q.grad, k.grad, v.grad
 
@@ -312,6 +319,25 @@ def unfused_attention_grads(q, k, v, scale, mask, w):
     dk = np.swapaxes((np.swapaxes(q, -1, -2) @ ds).sum(axis=-3, keepdims=True), -1, -2) * scale
     dv = (np.swapaxes(p, -1, -2) @ w).sum(axis=-3, keepdims=True)
     return p @ v, dq, dk, dv
+
+
+def test_attention_gives_the_kept_bits_at_the_edges_of_exps_underflow():
+    # the node sets entries below -746 to 0.0 without np.exp, which underflows
+    # them to +0.0 too. Each row's max is 0, so exp sees these values as they
+    # are, and in the edge row the sum stays below 2, so the smallest
+    # subnormal, exp(-745.1), survives the division.
+    edges = [0.0, -np.inf, -1e30, -800.0, -746.0001, -746.0, -745.2, -745.14, -745.13, -745.1,
+             -745.0, -744.5, -708.5, -700.0, -30.0]
+    rng = np.random.default_rng(14)
+    noise = -np.abs(rng.normal(scale=400.0, size=(2, len(edges))))
+    noise[:, 0] = 0.0
+    s0 = np.concatenate([[edges], noise, [edges[::-1]]])[None, None]
+    eye, w = np.eye(s0.shape[-1])[None, None], rng.normal(size=s0.shape)
+    got, want = attention_both_ways(identity, (s0,), eye, 0.0, w, (True,))
+    assert got[0][0, 0, 0, 9] > 0.0  # exp(-745.1), the smallest subnormal
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    np.testing.assert_array_equal(ad.attention(identity, (s0,), eye, 0.0), got[0])
 
 
 @pytest.mark.parametrize("d, tol", [(16, 0.0), (8, 1e-12)])
@@ -336,8 +362,74 @@ def test_attention_grad_finite_differences():
     for name in parts:
         def loss(x, name=name):
             args = {n: (x if n == name else Tensor(a)) for n, a in parts.items()}
-            return total(ad.attention(args["scores"], args["v"], mask) * w)
+            return total(ad.attention(identity, (args["scores"],), args["v"], mask) * w)
         fd_check(loss, parts[name])
+
+
+def attention_both_ways(score, operands, v0, mask, w, needs_grad):
+    """[output, v's gradient, then each grad-carrying operand's gradient] of
+    total(attention * w), through the node and through the kept-probabilities
+    oracle over the same score graph; fresh Tensors of the arrays each time."""
+    def kept(score, ops, v, m):
+        return helpers.kept_probs_attention(score(*ops), v, m)
+
+    results = []
+    for node in (ad.attention, kept):
+        ops = [Tensor(a.copy(), requires_grad=r) for a, r in zip(operands, needs_grad)]
+        v = Tensor(v0.copy(), requires_grad=True)
+        out = node(score, ops, v, mask)
+        total(out * w).backward()
+        results.append([out.data, v.grad] + [o.grad for o in ops if o.requires_grad])
+    return results
+
+
+@pytest.mark.parametrize("tq", [1, 2, 9])
+@pytest.mark.parametrize("d", [8, 16])
+def test_attention_recompute_gives_the_kept_probabilities_bits(d, tq):
+    # the node keeps each row's max and sum and recomputes the probabilities
+    # in backward; output and gradients must be the bits of the node that
+    # kept them, for `_forward`'s scores and for `answer_rows`' region-scaled
+    # ones (whose q and keys carry a gradient past layer 0 only)
+    rng = np.random.default_rng(100 * d + tq)
+    bsz, n_kv, g, t, sink, window = 2, 2, 2, 9, 2, 3
+    q = rng.normal(size=(bsz, n_kv, g, tq, d))
+    keys, v = rng.normal(size=(bsz, n_kv, 1, d, t)), rng.normal(size=(bsz, n_kv, 1, t, d))
+    factors, w = rng.uniform(size=(n_kv, d)), rng.normal(size=q.shape)
+    pos, seen = np.arange(t), np.arange(t - tq + 1, t + 1)  # row r sees seen[r] keys
+    causal = pos < seen[:, None]
+    mid = (pos >= sink) & (pos < np.maximum(sink, seen - window)[:, None])
+    f_sl, f_mid = (causal & ~mid) / np.sqrt(d), mid / np.sqrt(d)
+    mask = np.where(causal, 0.0, ad.MASK_NEG)
+
+    def region(q, keys, f):
+        return (q @ keys) * f_sl + ((q * f.reshape(1, n_kv, 1, 1, d)) @ keys) * f_mid
+
+    cases = [(operator.matmul, (q / np.sqrt(d), keys), (True, True)),
+             (region, (q, keys, factors), (False, False, True)),
+             (region, (q, keys, factors), (True, True, True))]
+    for score, operands, needs_grad in cases:
+        got, want = attention_both_ways(score, operands, v, mask, w, needs_grad)
+        assert len(got) == len(want) == 2 + sum(needs_grad)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("score", [identity, lambda s: s[...]], ids=["itself", "a view"])
+def test_attention_leaves_an_operand_that_is_the_scores_untouched(score):
+    rng = np.random.default_rng(11)
+    s0, v0 = rng.normal(size=(2, 2, 3, 5)), rng.normal(size=(2, 1, 5, 4))
+    w = rng.normal(size=(2, 2, 3, 4))
+    mask = np.where(np.tril(np.ones((3, 5), dtype=bool), k=2), 0.0, ad.MASK_NEG)
+    s = Tensor(s0.copy(), requires_grad=True)
+    out = ad.attention(score, (s,), v0, mask)
+    np.testing.assert_array_equal(s.data, s0)
+    total(out * w).backward()
+    np.testing.assert_array_equal(s.data, s0)
+    plain = s0.copy()
+    ad.attention(score, (plain,), v0, mask)
+    np.testing.assert_array_equal(plain, s0)
+    for a, b in zip(*attention_both_ways(score, (s0,), v0, mask, w, (True,))):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_matmul_2d_right_operand_matches_batched_form():
@@ -364,7 +456,7 @@ def test_constant_operands_get_no_grad():
     w2, w3, norm_w, scale, other, k, v = consts
     y = ad.rms_norm(x @ w2, norm_w) @ w3
     y = ad.concat([y * scale + other, other - y, (other * other + 1.0) * y], axis=2)
-    y = ad.attention(y @ (k * 0.5).transpose(0, 1, 3, 2), v, 0.0)
+    y = ad.attention(operator.matmul, (y, (k * 0.5).transpose(0, 1, 3, 2)), v, 0.0)
     ad.sum_squares(y).backward()
     assert x.grad is not None
     assert all(c.grad is None for c in consts)
@@ -410,9 +502,9 @@ def test_shape_errors():
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 5)))
     for scores in (np.zeros((2, 2, 3, 3)), Tensor(np.zeros((2, 2, 3, 3)))):
         with pytest.raises(ad.ShapeError):  # v must have a single head per group
-            ad.attention(scores, np.zeros((2, 2, 3, 4)), 0.0)
+            ad.attention(identity, (scores,), np.zeros((2, 2, 3, 4)), 0.0)
     with pytest.raises(ad.ShapeError):  # v must have a row per key
-        ad.attention(np.zeros((2, 1, 3, 5)), np.zeros((2, 1, 3, 4)), 0.0)
+        ad.attention(identity, (np.zeros((2, 1, 3, 5)),), np.zeros((2, 1, 3, 4)), 0.0)
 
 
 def test_adam_first_step_hand_computed():
@@ -451,6 +543,70 @@ def test_adam_rejects_bad_inputs():
     # the bad grad is found before any parameter moves
     np.testing.assert_array_equal(a.data, np.ones(2))
     assert opt.t == 0
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, True, "0.1"])
+def test_fit_and_adam_refuse_a_bad_lr_before_any_parameter_moves(lr):
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    message = re.escape(f"lr must be a positive finite number, got {lr!r}")
+    with pytest.raises(ValueError, match=message):
+        ad.Adam([p], lr)
+    with pytest.raises(ValueError, match=message):
+        ad.fit([p], lr, 3, lambda step: ad.sum_squares(p))
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    assert p.grad is None
+
+
+@pytest.mark.parametrize("steps", [2.5, np.float64(2.0), True, False, -1, "3", None])
+def test_fit_refuses_steps_that_are_not_an_int_before_any_step(steps):
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    calls = []
+
+    def step_loss(step):
+        calls.append(step)
+        return ad.sum_squares(p)
+
+    with pytest.raises(ValueError, match=re.escape(f"steps must be an int >= 0, got {steps!r}")):
+        ad.fit([p], 0.1, steps, step_loss)
+    assert calls == []
+    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    assert len(ad.fit([p], 0.1, np.int64(2), step_loss)) == 2  # any integral type
+
+
+def test_adam_step_in_place_gives_the_out_of_place_bits():
+    rng = np.random.default_rng(12)
+    p0, lr = rng.normal(size=(3, 4)), 0.01
+    p = Tensor(p0.copy(), requires_grad=True)
+    opt = ad.Adam([p], lr)
+    m, v, want = np.zeros_like(p0), np.zeros_like(p0), p0.copy()
+    b1, b2, eps = ad.Adam.BETA1, ad.Adam.BETA2, ad.Adam.EPS
+    for t in range(1, 4):
+        g = rng.normal(size=p0.shape)
+        p.grad = g.copy()
+        before = p.data
+        opt.step()
+        m = m * b1 + (1 - b1) * g
+        v = v * b2 + (1 - b2) * g * g
+        want = want - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        np.testing.assert_array_equal(p.data, want)
+        assert p.data is not before  # `.data` is replaced, not written into
+        np.testing.assert_array_equal(p.grad, g)  # the gradient is left as it was
+
+
+def test_rotate_half_and_silu_give_the_out_of_place_bits():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, 5, 3, 8))
+    cos, sin = (a[:, None] for a in ad.rope_angles(8, np.arange(5), 10000.0))
+    # rows, one row, and a transposed (non-contiguous) gradient; -sin is the inverse
+    for a, c, s in ((x, cos, sin), (x[:, :1], cos[:1], sin[:1]),
+                    (x.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3), cos, -sin)):
+        a1, a2 = a[..., :4], a[..., 4:]
+        want = np.concatenate([a1 * c - a2 * s, a1 * s + a2 * c], axis=-1)
+        np.testing.assert_array_equal(ad.rotate_half(a, c, s), want)
+    sg, sig = ad.silu_fwd(x)
+    want = 1.0 / (1.0 + np.exp(-x))
+    np.testing.assert_array_equal(sig, want)
+    np.testing.assert_array_equal(sg, x * want)
 
 
 def test_adam_converges_on_quadratic():

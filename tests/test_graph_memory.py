@@ -13,6 +13,7 @@ def test_graph_memory_prints_the_graph_and_its_peak(capsys):
     lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
     assert list(lines) == ["graph after forward (2 x 31)",
                            "peak of answer_loss + backward (2 x 31)",
+                           "peak of one pretraining step with Adam (2 x 31)",
                            "peak of np_forward (T = 256)"]
-    graph, peak, prefill = (float(v.removesuffix(" MiB")) for v in lines.values())
-    assert 0 < graph <= peak and prefill > 0
+    graph, peak, step, prefill = (float(v.removesuffix(" MiB")) for v in lines.values())
+    assert 0 < graph <= peak <= step and prefill > 0
